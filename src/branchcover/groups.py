@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .perm import Permutation
+from .perm import Permutation, compose
 
 
 class GroupError(ValueError):
@@ -64,46 +64,60 @@ def is_transitive(gens: Sequence[Permutation]) -> bool:
     return len(orbits(gens)) == 1
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+def _image_tables(gens: Sequence[Permutation], dom: tuple[int, ...]) -> list[list[int]]:
+    """0-based image tables over the positions of ``dom``: one per generator,
+    then one per inverse."""
+    if dom[0] == 1 and dom[-1] == len(dom):
+        fwd = [[y - 1 for y in g.images] for g in gens]
+    else:
+        pos = {x: i for i, x in enumerate(dom)}
+        fwd = [[pos[y] for y in g.images] for g in gens]
+    tables = list(fwd)
+    for t in fwd:
+        inv = [0] * len(t)
+        for i, j in enumerate(t):
+            inv[j] = i
+        tables.append(inv)
+    return tables
 
 
-def _block_closure(gens: Sequence[Permutation], a: int, b: int):
-    """Classes of the finest generator-stable equivalence with a ~ b."""
-    dom = gens[0].domain
-    uf = _UnionFind(dom)
-    closed = [g for g in gens] + [g.inverse() for g in gens]
+def _block_closure(tables, dom: tuple[int, ...], a: int, b: int):
+    """Classes of the finest generator-stable equivalence with a ~ b.
+
+    Atkinson's closure on one union-find list over the image ``tables``;
+    ``a`` and ``b`` are 0-based positions in ``dom``.  Returns None when
+    everything falls into one class (stopping at the (n-1)-th merge), else
+    the classes as sorted label tuples ordered by their smallest label.
+    """
+    n = len(dom)
+    if n == 2:
+        return None
+    parent = list(range(n))
+    parent[b] = a
+    merges = 1
     queue = [(a, b)]
-    uf.union(a, b)
     while queue:
         x, y = queue.pop()
-        for g in closed:
-            gx, gy = g(x), g(y)
-            if uf.union(gx, gy):
-                queue.append((gx, gy))
+        for t in tables:
+            u = t[x]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            v = t[y]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[v] = u
+                merges += 1
+                if merges == n - 1:
+                    return None
+                queue.append((u, v))
     classes: dict[int, list[int]] = {}
-    for x in dom:
-        classes.setdefault(uf.find(x), []).append(x)
-    return tuple(tuple(sorted(c)) for c in sorted(classes.values()))
+    for i in range(n):
+        r = i
+        while parent[r] != r:
+            r = parent[r]
+        classes.setdefault(r, []).append(dom[i])
+    return tuple(tuple(c) for c in classes.values())
 
 
 def minimal_block(gens: Sequence[Permutation], seed_pair: tuple[int, int]) -> tuple[int, ...]:
@@ -116,7 +130,12 @@ def minimal_block(gens: Sequence[Permutation], seed_pair: tuple[int, int]) -> tu
         raise GroupError("seed points outside the domain")
     if not is_transitive(gens):
         raise GroupError("minimal blocks are defined for transitive groups only")
-    for cls in _block_closure(gens, a, b):
+    classes = _block_closure(
+        _image_tables(gens, dom), dom, dom.index(a), dom.index(b)
+    )
+    if classes is None:
+        return dom
+    for cls in classes:
         if a in cls:
             return cls
     raise AssertionError("unreachable")
@@ -132,25 +151,41 @@ def is_primitive(
         raise GroupError("primitivity needs at least two points")
     if not is_transitive(gens):
         raise GroupError("primitivity is defined for transitive groups only")
-    first = dom[0]
-    for x in dom[1:]:
-        classes = _block_closure(gens, first, x)
+    tables = _image_tables(gens, dom)
+    for x in range(1, d):
+        classes = _block_closure(tables, dom, 0, x)
+        if classes is None:
+            continue
         sizes = {len(c) for c in classes}
-        assert len(sizes) == 1, "closure classes of a transitive group are conjugate"
+        if len(sizes) != 1:
+            raise GroupError("closure classes of a transitive group differ in size")
         size = sizes.pop()
-        if size < d:
-            assert d % size == 0
-            return False, BlockSystem(degree=d, blocks=classes, block_size=size)
+        if d % size != 0:
+            raise GroupError(f"block size {size} does not divide the degree {d}")
+        return False, BlockSystem(degree=d, blocks=classes, block_size=size)
     return True, None
+
+
+def _isolated_cycle(p: Permutation, l: int) -> bool:
+    """True when a power of p is an l-cycle: l occurs once among the cycle
+    lengths of p and is coprime to every other length."""
+    lengths = [len(c) for c in p.cycles()]
+    if lengths.count(l) != 1:
+        return False
+    return all(m == l or gcd(l, m) == 1 for m in lengths)
 
 
 def primitivity_fast_path(gens: Sequence[Permutation], l: int) -> bool | None:
     """Sufficient primitivity criterion from a long coprime cycle.
 
     A transitive group containing an l-cycle is primitive when gcd(l, d) = 1
-    and l exceeds every non-trivial divisor of d.  Returns True when the
-    criterion applies, None when it is inconclusive (fall back to the exact
-    test); never contradicts `is_primitive`.
+    and l exceeds every non-trivial divisor of d: a block meeting the cycle's
+    support either contains it or, with its images, tiles it, so the block
+    size divides l or is at least l.  The l-cycle is not taken on trust: it
+    must be a power of one generator or of the ordered product of all
+    generators.  Returns True when the criterion applies, None when it is
+    inconclusive (fall back to the exact test); never contradicts
+    `is_primitive`.
     """
     dom = _check_gens(gens)
     d = len(dom)
@@ -161,7 +196,11 @@ def primitivity_fast_path(gens: Sequence[Permutation], l: int) -> bool | None:
     if gcd(l, d) != 1:
         return None
     largest_proper = max((k for k in range(2, d) if d % k == 0), default=1)
-    if l > largest_proper:
+    if l <= largest_proper:
+        return None
+    if any(_isolated_cycle(g, l) for g in gens):
+        return True
+    if len(gens) > 1 and _isolated_cycle(compose(*gens), l):
         return True
     return None
 

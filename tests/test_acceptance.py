@@ -114,8 +114,10 @@ def test_criterion_4_census_over_projective_plane(capsys):
     for d in (5, 7, 9, 11):
         constructed = {2: 0, 3: 0}
         for row in census(d, 3):
-            # census itself asserts verdict == valid-indecomposable, which
-            # includes the exact relation check; chi is re-derived here
+            # census does not verify again: realize_rp2 verifies each
+            # certificate once (exact relation check included) and raises
+            # VerificationError unless valid-indecomposable; chi is
+            # re-derived here
             chi = d - row.nu
             if row.nu > d:
                 assert chi <= 0

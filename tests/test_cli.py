@@ -1,14 +1,30 @@
 """Command-line interface: exit codes and byte-exact determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from branchcover import cli, oracle, realize
 from branchcover.cli import main
+from branchcover.realize import VerificationReport
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+DECOMPOSABLE_CERT = (
+    "base: rp2\n"
+    "degree: 9\n"
+    "datum: [9]\n"
+    "a: (1 5 9 4 8 3 7 2 6)\n"
+    "u[1]: (1 2 3 4 5 6 7 8 9)\n"
+)
 
 
 def test_admissible_ok(capsys):
@@ -115,18 +131,64 @@ def test_verify_tampered(tmp_path, capsys):
 
 
 def test_verify_decomposable_certificate(tmp_path, capsys):
-    cert = (
-        "base: rp2\n"
-        "degree: 9\n"
-        "datum: [9]\n"
-        "a: (1 5 9 4 8 3 7 2 6)\n"
-        "u[1]: (1 2 3 4 5 6 7 8 9)\n"
-    )
     f = tmp_path / "cyclic.txt"
-    f.write_text(cert)
+    f.write_text(DECOMPOSABLE_CERT)
     code, out, _ = run(capsys, "verify", "--certificate", str(f))
     assert code == 1
     assert "valid-decomposable" in out
+
+
+def test_verify_without_asserts(tmp_path):
+    f = tmp_path / "cyclic.txt"
+    f.write_text(DECOMPOSABLE_CERT)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "branchcover.cli", "verify", "--certificate", str(f)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "primitive=False" in proc.stdout
+
+
+def _count_verifications(monkeypatch):
+    """Count verify_certificate calls through every module binding of it."""
+    calls = []
+    original = realize.verify_certificate
+
+    def counting(cert):
+        calls.append(cert)
+        return original(cert)
+
+    for module in (realize, cli, oracle):
+        if getattr(module, "verify_certificate", None) is original:
+            monkeypatch.setattr(module, "verify_certificate", counting)
+    return calls
+
+
+def test_each_certificate_verified_once(monkeypatch, capsys):
+    calls = _count_verifications(monkeypatch)
+    constructed = sum(r.classification == "constructed" for r in oracle.census(7, 3))
+    assert constructed > 0 and len(calls) == constructed
+
+    calls.clear()
+    code, _, err = run(capsys, "realize", "--base", "rp2", "--datum", "[3,2];[3,2]")
+    assert code == 0 and len(calls) == 1
+    assert err == "verified valid-indecomposable chi=-1\n"
+
+
+def test_realize_failed_self_verification(monkeypatch, capsys):
+    def decomposable(cert):
+        return VerificationReport(True, True, True, False, 0, "valid-decomposable")
+
+    monkeypatch.setattr(realize, "verify_certificate", decomposable)
+    code, out, err = run(capsys, "realize", "--base", "rp2", "--datum", "[3,2];[3,2]")
+    assert code == 1 and out == ""
+    assert "self-verification failed: valid-decomposable" in err
 
 
 def test_check_table(capsys):

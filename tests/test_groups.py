@@ -91,6 +91,21 @@ def test_primitivity_fast_path_examples():
     assert primitivity_fast_path(gens9, 9) is None
 
 
+def test_fast_path_needs_an_l_cycle_in_the_group():
+    # l is coprime to d and above every proper divisor, but no element
+    # checked holds an l-cycle: the cyclic groups here are imprimitive
+    for texts, d, l in (("(1 2 3 4 5 6 7 8 9)", 9, 5), ("(1 2 3 4)", 4, 3)):
+        gs = gens(texts, d=d)
+        assert not is_primitive(gs)[0]
+        assert primitivity_fast_path(gs, l) is None
+    # (1 2 3 4 5)(6 7) squared is a 5-cycle
+    assert primitivity_fast_path(gens("(1 2 3 4 5)(6 7)", "(1 7)", d=7), 5) is True
+    # the product (1 2 3)(4 5 6) * (1 3 2 4)(5 7) has type [5,1,1]
+    assert primitivity_fast_path(gens("(1 2 3)(4 5 6)", "(1 3 2 4)(5 7)", d=7), 5) is True
+    # two 5-cycles in one generator: no power isolates one
+    assert primitivity_fast_path(gens("(1 2 3 4 5)(6 7 8 9 10)", "(1 6 11)", d=11), 5) is None
+
+
 def test_fast_path_never_contradicts_exact():
     rng = random.Random(13)
     for _ in range(150):

@@ -90,6 +90,62 @@ def test_blocks_agree_with_primitivity_on_random_sets():
             assert any(set(s.blocks) == set(witness.blocks) for s in systems)
 
 
+def _wreath(m, k):
+    """Generators of S_m wr S_k on k blocks of m consecutive labels."""
+    d = m * k
+    swap = {j + 1: m + j + 1 for j in range(m)}
+    swap.update({y: x for x, y in swap.items()})
+    return [
+        Permutation.from_mapping({1: 2, 2: 1}, d),
+        Permutation.from_mapping({j + 1: (j + 1) % m + 1 for j in range(m)}, d),
+        Permutation.from_mapping(swap, d),
+        Permutation.from_mapping({x: (x + m - 1) % d + 1 for x in range(1, d + 1)}, d),
+    ]
+
+
+def _dihedral_regular(n):
+    """D_n acting on itself by right multiplication; r^k s^f has label
+    k + n*f + 1."""
+    r = {k + n * f + 1: (k + (1 - 2 * f)) % n + n * f + 1 for k in range(n) for f in (0, 1)}
+    s = {k + n * f + 1: k + n * (1 - f) + 1 for k in range(n) for f in (0, 1)}
+    return [Permutation.from_mapping(r, 2 * n), Permutation.from_mapping(s, 2 * n)]
+
+
+def _assert_invariant(witness, gens):
+    blocks = set(witness.blocks)
+    for g in gens:
+        for block in witness.blocks:
+            assert tuple(sorted(g(x) for x in block)) in blocks
+
+
+def test_exact_primitivity_on_imprimitive_groups():
+    groups = [_wreath(2, 3), _wreath(3, 2), _wreath(2, 4)]
+    groups += [
+        [Permutation.from_mapping({x: x % d + 1 for x in range(1, d + 1)}, d)]
+        for d in range(2, 9)
+    ]
+    groups += [_dihedral_regular(n) for n in (2, 3, 4)]
+    for gens in groups:
+        d = gens[0].degree
+        assert is_transitive(gens)
+        systems = exhaustive_blocks(gens)
+        nontrivial = [s for s in systems if 1 < s.block_size < d]
+        prim, witness = is_primitive(gens)
+        assert prim == (not nontrivial)
+        if witness is not None:
+            assert witness in systems
+            _assert_invariant(witness, gens)
+
+
+def test_exact_primitivity_on_a_large_wreath_product():
+    gens = _wreath(3, 67)
+    prim, witness = is_primitive(gens)
+    assert not prim
+    assert witness.block_size == 3
+    assert witness.blocks == tuple((x, x + 1, x + 2) for x in range(1, 202, 3))
+    _assert_invariant(witness, gens)
+
+
 def test_verify_appendix_table():
     report = verify_appendix_table()
     assert len(report) == 19
