@@ -14,8 +14,8 @@ Three services, each verified on every call:
 The primary merge path is greedy cycle threading: each k-cycle of the
 output consumes one fresh element from each of k distinct cycles of the
 running product, merging them (any such choice merges, so only the
-availability of fresh elements can stall the greedy schedule; a
-backtracking pass over the cycle choices covers the stalls).  Surplus
+availability of fresh elements can stall the schedule; taking the cycles
+with the most fresh elements stalls only when every schedule does).  Surplus
 defect is absorbed by splitting the target into an exactly-threadable
 piece plus an even remainder realized as a conjugated product of two full
 cycles.  Seeded randomized search backs every path; outputs are always
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .perm import (
@@ -46,14 +45,6 @@ from .perm import (
 
 class EksError(ValueError):
     """Precondition violation or exhausted internal search."""
-
-
-@dataclass(frozen=True)
-class MergePlan:
-    """Threading schedule: per output cycle, the (product-cycle id, element)
-    pairs it consumed."""
-
-    steps: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -77,11 +68,10 @@ class SplitTrace:
 @dataclass(frozen=True)
 class MergeTrace:
     kind: str                      # 'threading' | 'split' | 'search'
-    plan: MergePlan | None = None
     split: SplitTrace | None = None
 
 
-# -- greedy threading with backtracking ----------------------------------------
+# -- greedy threading -----------------------------------------------------------
 
 
 def _thread(
@@ -89,24 +79,25 @@ def _thread(
     parts: Sequence[tuple[int, object]],
     reserved: Iterable[int] = (),
     anchor: tuple[object, int] | None = None,
-):
+) -> dict[object, tuple[int, ...]] | None:
     """Place the tagged parts as cycles, each merging that many distinct
     cycles of the running product of lam with the placed cycles.
 
-    Returns (cycles_by_tag, MergePlan) or None when no schedule exists.
+    Returns the cycles by tag, or None when no schedule exists.
     ``anchor=(tag, point)`` forces the tagged part's cycle to consume
     ``point``; reserved points are never consumed.
-    """
-    lam_cycles = lam.cycles()
-    reserved = set(reserved)
-    fresh: dict[int, list[int]] = {}
-    home: dict[int, int] = {}
-    for gid, cyc in enumerate(lam_cycles):
-        avail = sorted(x for x in cyc if x not in reserved)
-        fresh[gid] = avail
-        for x in cyc:
-            home[x] = gid
 
+    One pass, no search: the anchored part goes first, then the parts by
+    decreasing size.  Each takes one fresh point from each of the product
+    cycles with the most fresh points.  This is complete for that order:
+    only the number A of cycles with a fresh point and the surplus
+    S = sum(fresh - 1) matter, a part of size p leads to (A-p+1, S-1) when
+    its cycles carry surplus and to (A-p, S) when they do not, taking the
+    largest cycles carries surplus whenever any is left, and the first
+    state dominates the second.  So None means every choice fails.
+    """
+    reserved = set(reserved)
+    fresh = [sorted(x for x in cyc if x not in reserved) for cyc in lam.cycles()]
     order = sorted(
         range(len(parts)),
         key=lambda i: (
@@ -115,70 +106,39 @@ def _thread(
             i,
         ),
     )
-    alive = list(fresh.keys())
     placed: dict[object, tuple[int, ...]] = {}
-    plan_steps: list[tuple[tuple[int, int], ...]] = []
-
-    def place(rank: int) -> bool:
-        if rank == len(order):
-            return True
-        size, tag = parts[order[rank]]
-        anchored_here = anchor is not None and tag == anchor[0]
-        if anchored_here:
-            pt = anchor[1]
-            agid = None
-            for gid in alive:
-                if pt in fresh[gid]:
-                    agid = gid
-                    break
-            if agid is None:
-                return False
-            pool = [g for g in alive if g != agid and fresh[g]]
-            need = size - 1
-        else:
-            pool = [g for g in alive if fresh[g]]
-            need = size
-        if need > len(pool):
-            return False
-        for combo in combinations(pool, need):
-            chosen = ((agid,) + combo) if anchored_here else combo
-            saved = {g: fresh[g] for g in chosen}
-            elems = []
-            for gid in chosen:
-                x = anchor[1] if anchored_here and gid == agid else fresh[gid][0]
-                elems.append(x)
-                fresh[gid] = [y for y in fresh[gid] if y != x]
-            keep = chosen[0]
-            fresh[keep] = sorted(set().union(*(fresh[g] for g in chosen)))
-            removed = list(chosen[1:])
-            for g in removed:
-                alive.remove(g)
-                del fresh[g]
-            placed[tag] = tuple(elems)
-            plan_steps.append(tuple(zip(chosen, elems)))
-            if place(rank + 1):
-                return True
-            plan_steps.pop()
-            del placed[tag]
-            for g in removed:
-                alive.append(g)
-            alive.sort()
-            for g, lst in saved.items():
-                fresh[g] = lst
-        return False
-
-    if not place(0):
-        return None
-    return placed, MergePlan(tuple(plan_steps))
+    for i in order:
+        size, tag = parts[i]
+        chosen: list[int] = []
+        elems: list[int] = []
+        if anchor is not None and tag == anchor[0]:
+            home = next((g for g, f in enumerate(fresh) if anchor[1] in f), None)
+            if home is None:
+                return None
+            chosen.append(home)
+            elems.append(anchor[1])
+        pool = sorted(
+            (g for g, f in enumerate(fresh) if f and g not in chosen),
+            key=lambda g: (-len(fresh[g]), g),
+        )
+        picks = sorted(pool[: size - len(chosen)])
+        if len(chosen) + len(picks) < size:
+            return None
+        chosen += picks
+        elems += [fresh[g][0] for g in picks]
+        merged = sorted(x for g in chosen for x in fresh[g] if x not in elems)
+        for g in chosen:
+            fresh[g] = []
+        fresh[chosen[0]] = merged
+        placed[tag] = tuple(elems)
+    return placed
 
 
 def _beta_from_threading(lam: Permutation, parts, reserved=(), anchor=None):
-    got = _thread(lam, parts, reserved, anchor)
-    if got is None:
+    placed = _thread(lam, parts, reserved, anchor)
+    if placed is None:
         return None
-    placed, plan = got
-    beta = from_cycles(placed.values(), lam.domain)
-    return beta, plan
+    return from_cycles(placed.values(), lam.domain)
 
 
 # -- randomized / exhaustive fallbacks ------------------------------------------
@@ -294,10 +254,9 @@ def _merge_split(lam: Permutation, target: Partition, anchor, rng):
             else:
                 reserved.append(pt)
 
-    got = _thread(lam, parts, reserved, thread_anchor)
-    if got is None:
+    placed = _thread(lam, parts, reserved, thread_anchor)
+    if placed is None:
         return None
-    placed, _plan = got
     beta_prime = from_cycles(placed.values(), lam.domain)
     prod = compose(lam, beta_prime)
     if len(prod.cycles()) != 1:
@@ -389,10 +348,9 @@ def merge_with_trace(
             else:
                 idx = next(i for i, p in enumerate(target.parts) if p == a_e)
                 thread_anchor = (idx, pt)
-        got = _beta_from_threading(lam, parts, reserved, thread_anchor)
-        if got is not None:
-            beta, plan = got
-            trace = MergeTrace(kind="threading", plan=plan)
+        beta = _beta_from_threading(lam, parts, reserved, thread_anchor)
+        if beta is not None:
+            trace = MergeTrace(kind="threading")
     else:
         got = _merge_split(lam, target, anchor, rng)
         if got is not None:
@@ -404,9 +362,12 @@ def merge_with_trace(
     if beta is None:
         raise EksError("internal merge search exhausted (defect)")
 
-    assert beta.cycle_type() == target
-    assert len(compose(lam, beta).cycles()) == 1
-    assert _anchor_ok(beta, anchor)
+    if beta.cycle_type() != target:
+        raise EksError(f"{trace.kind} merge output has the wrong cycle type")
+    if len(compose(lam, beta).cycles()) != 1:
+        raise EksError(f"{trace.kind} merge output gives no full-cycle product")
+    if not _anchor_ok(beta, anchor):
+        raise EksError(f"{trace.kind} merge output misses the anchor")
     return beta, trace
 
 
@@ -436,16 +397,16 @@ def product_defect_exact(
         raise EksError("defect sum too large for exact addition")
     alpha = canonical_in_class(A, d)
     parts = [(p, i) for i, p in enumerate(B.parts) if p > 1]
-    got = _beta_from_threading(alpha, parts)
-    if got is not None:
-        beta = got[0]
-    else:
+    beta = _beta_from_threading(alpha, parts)
+    if beta is None:
         rng = random.Random(seed)
         beta = _search_defect(alpha, B, A.nu + B.nu, rng)
         if beta is None:
             raise EksError("internal search exhausted (defect)")
-    assert beta.cycle_type() == B
-    assert compose(alpha, beta).nu() == A.nu + B.nu
+    if beta.cycle_type() != B:
+        raise EksError("exact-defect output has the wrong cycle type")
+    if compose(alpha, beta).nu() != A.nu + B.nu:
+        raise EksError("exact-defect output misses the defect sum")
     return alpha, beta
 
 
@@ -495,8 +456,10 @@ def product_defect_reduced(
         )
         if beta is None:
             raise EksError("internal search exhausted (defect)")
-    assert beta.cycle_type() == B
-    assert compose(alpha, beta).nu() == (d - 1) - k
+    if beta.cycle_type() != B:
+        raise EksError("reduced-defect output has the wrong cycle type")
+    if compose(alpha, beta).nu() != (d - 1) - k:
+        raise EksError("reduced-defect output misses the reduced defect")
     return alpha, beta
 
 
@@ -513,10 +476,10 @@ def _reduced_by_splitting(alpha, B, k, r):
     for p in inside:
         threaded.remove(p)
     parts = [(p, i) for i, p in enumerate(threaded)]
-    got = _beta_from_threading(alpha, parts)
-    if got is None:
+    beta = _beta_from_threading(alpha, parts)
+    if beta is None:
         return None
-    beta_cycles = [list(c) for c in got[0].nontrivial_cycles()]
+    beta_cycles = [list(c) for c in beta.nontrivial_cycles()]
     used = set(x for c in beta_cycles for x in c)
     for b in sorted(inside, reverse=True):
         prod = compose(alpha, from_cycles(beta_cycles, alpha.domain))

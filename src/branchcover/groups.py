@@ -19,6 +19,10 @@ class GroupError(ValueError):
     """Generator sets violating an operation's preconditions."""
 
 
+class IntransitiveError(GroupError):
+    """An operation defined for transitive groups got an intransitive one."""
+
+
 @dataclass(frozen=True)
 class BlockSystem:
     """An invariant partition of the points into equal-size blocks."""
@@ -150,7 +154,7 @@ def is_primitive(
     if d < 2:
         raise GroupError("primitivity needs at least two points")
     if not is_transitive(gens):
-        raise GroupError("primitivity is defined for transitive groups only")
+        raise IntransitiveError("primitivity is defined for transitive groups only")
     tables = _image_tables(gens, dom)
     for x in range(1, d):
         classes = _block_closure(tables, dom, 0, x)
@@ -209,9 +213,10 @@ def decomposability_verdict(
     gens: Sequence[Permutation],
 ) -> tuple[str, BlockSystem | None]:
     """'indecomposable' iff the (transitive) monodromy group is primitive."""
-    if not is_transitive(gens):
+    try:
+        prim, witness = is_primitive(gens)
+    except IntransitiveError as exc:
         raise GroupError(
             "decomposability verdict undefined: covering surface disconnected"
-        )
-    prim, witness = is_primitive(gens)
+        ) from exc
     return ("indecomposable", None) if prim else ("decomposable", witness)

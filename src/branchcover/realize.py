@@ -20,7 +20,7 @@ from .construct import (
     parse_datum,
 )
 from .errors import InadmissibleError, ParseError, VerificationError
-from .groups import GroupError, is_primitive, is_transitive
+from .groups import GroupError, IntransitiveError, is_primitive
 from .perm import (
     Partition,
     PermError,
@@ -170,13 +170,14 @@ def verify_certificate(cert: HurwitzCertificate) -> VerificationReport:
     gens = list(cert.u_images)
     if cert.a_image is not None:
         gens.append(cert.a_image)
-    transitive = is_transitive(gens)
-    primitive = False
-    if transitive and cert.degree >= 2:
-        try:
-            primitive, _ = is_primitive(gens)
-        except GroupError:
-            primitive = False
+    # is_primitive searches the orbits once and reports intransitivity
+    transitive = True
+    try:
+        primitive, _ = is_primitive(gens)
+    except IntransitiveError:
+        transitive = primitive = False
+    except GroupError:  # one point, or closure classes of unequal size
+        primitive = False
 
     if not relation_ok:
         verdict, reason = "invalid", "relation violated"

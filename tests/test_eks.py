@@ -1,12 +1,14 @@
 """The merge, defect-control, and two-full-cycle factorization toolbox."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+from branchcover import eks
 from branchcover.eks import (
     EksError,
+    _thread,
     aligning_conjugator,
     eks_merge,
     factor_two_full_cycles,
@@ -114,7 +116,6 @@ def test_eks_merge_anchored_on_non_standard_domain():
 def test_merge_trace_kinds():
     _, trace = merge_with_trace(parse_cycles("(1 2 3)(4 5)", 5), Partition([2, 1, 1, 1]))
     assert trace.kind == "threading"
-    assert trace.plan is not None
     _, trace = merge_with_trace(parse_cycles("(1 2 3)(4 5)", 5), Partition([3, 2]))
     assert trace.kind == "split"
     split = trace.split
@@ -123,13 +124,78 @@ def test_merge_trace_kinds():
     assert conjugate(split.tau, split.eta) == split.beta_second
 
 
-def test_merge_plan_elements_never_reused():
-    lam = parse_cycles("(1 2 3)(4 5 6)(7 8)(9 10 11)", 11)
-    beta, trace = merge_with_trace(lam, Partition([2, 2, 2, 1, 1, 1, 1, 1]))
-    assert trace.kind == "threading"
-    consumed = [x for step in trace.plan.steps for _, x in step]
-    assert len(consumed) == len(set(consumed))
-    assert beta.cycle_type() == Partition([2, 2, 2] + [1] * 5)
+def _schedule_exists(fresh, sizes, anchor_point=None):
+    """Brute-force reference for `_thread`: try every choice of distinct
+    product cycles for each part, in the order given.  ``fresh`` lists the
+    unconsumed points of each product cycle; the first part must consume
+    ``anchor_point`` when one is given."""
+    if not sizes:
+        return True
+    live = [g for g, pts in enumerate(fresh) if pts]
+    for combo in combinations(live, sizes[0]):
+        if anchor_point is not None and not any(anchor_point in fresh[g] for g in combo):
+            continue
+        merged = []
+        for g in combo:
+            pts = list(fresh[g])
+            pts.remove(anchor_point if anchor_point in pts else pts[0])
+            merged += pts
+        rest = [pts for g, pts in enumerate(fresh) if g not in combo]
+        if _schedule_exists(rest + [merged], sizes[1:]):
+            return True
+    return False
+
+
+def test_thread_matches_brute_force_schedule_search():
+    outcomes = {True: 0, False: 0}
+    for d in range(2, 8):
+        for L in partitions_of(d):
+            lam = canonical_in_class(L, d)
+            targets = [P for m in range(2, d + 1) for P in partitions_of(m) if 1 not in P.parts]
+            for P in targets:
+                parts = [(p, i) for i, p in enumerate(P.parts)]
+                cases = [((), None)]
+                cases += [((x,), None) for x in lam.domain]
+                cases += [((), (i, x)) for i in range(len(parts)) for x in lam.domain]
+                for reserved, anchor in cases:
+                    fresh = [[x for x in c if x not in reserved] for c in lam.cycles()]
+                    # _thread's order: the anchored part, then decreasing size
+                    first = [] if anchor is None else [anchor[0]]
+                    sizes = [parts[i][0] for i in first + [i for _, i in parts if i not in first]]
+                    exists = _schedule_exists(fresh, sizes, anchor and anchor[1])
+                    placed = _thread(lam, parts, reserved, anchor)
+                    assert (placed is not None) == exists, (lam, parts, reserved, anchor)
+                    outcomes[exists] += 1
+                    if placed is None:
+                        continue
+                    assert all(len(placed[tag]) == p for p, tag in parts)
+                    points = [x for c in placed.values() for x in c]
+                    assert len(set(points)) == len(points)
+                    assert not set(points) & set(reserved)
+                    if anchor is not None:
+                        assert anchor[1] in placed[anchor[0]]
+                    prod = compose(lam, from_cycles(placed.values(), lam.domain))
+                    assert len(prod.cycles()) == len(lam.cycles()) - sum(p - 1 for p, _ in parts)
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def _split_inside_one_cycle(lam, parts, reserved=(), anchor=None):
+    """A placement that splits the first cycle of lam instead of merging."""
+    return {tag: lam.cycles()[0][:size] for size, tag in parts}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: merge_with_trace(parse_cycles("(1 2 3)(4 5)", 5), Partition([2, 1, 1, 1])),
+        lambda: product_defect_exact(Partition([3, 1, 1]), Partition([2, 1, 1, 1])),
+        lambda: product_defect_reduced(Partition([5]), Partition([3, 2]), 1),
+    ],
+)
+def test_postconditions_survive_without_asserts(monkeypatch, call):
+    monkeypatch.setattr(eks, "_thread", _split_inside_one_cycle)
+    with pytest.raises(EksError, match="output"):
+        call()
 
 
 def test_product_defect_exact_examples():

@@ -1,7 +1,12 @@
 """Gates, certificate assembly, the verifier, and the text format."""
 
+import math
+import random
+import signal
+
 import pytest
 
+from branchcover import groups
 from branchcover.construct import BranchDatum, parse_datum
 from branchcover.errors import InadmissibleError, ParseError
 from branchcover.perm import Partition, compose, identity, parse_cycles, sqrt_odd_cycle
@@ -74,6 +79,58 @@ def test_realize_rp2_full_cycle_routes():
         assert total.is_identity()
 
 
+def _within(seconds, fn, *args):
+    """fn(*args), failing with TimeoutError after ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _random_partition(rng, d):
+    """A partition of d with a log-uniform number of parts in 2..d-1."""
+    k = min(max(round(math.exp(rng.uniform(math.log(2), math.log(d - 1)))), 2), d - 1)
+    cuts = sorted(rng.sample(range(1, d), k - 1))
+    return P([b - a for a, b in zip([0, *cuts], [*cuts, d])])
+
+
+def _admissible_stream(seed, d, s):
+    rng = random.Random(seed)
+    while True:
+        parts = tuple(_random_partition(rng, d) for _ in range(s))
+        nu = sum(p.nu for p in parts)
+        if nu % 2 == 0 and nu > d - 1:
+            yield BranchDatum(base="rp2", degree=d, partitions=parts)
+
+
+def test_realize_rp2_without_schedule_search_stalls():
+    # [5,2^(4+j),1,1];[3^5,2^j], d = 15..31: no threading schedule exists
+    # for the split route's piece, and finding that out must take no search
+    for j in range(9):
+        d = 15 + 2 * j
+        datum = BranchDatum(
+            base="rp2",
+            degree=d,
+            partitions=(P([5] + [2] * (4 + j) + [1, 1]), P([3] * 5 + [2] * j)),
+        )
+        cert = _within(10, realize_rp2, datum)
+        assert verify_certificate(cert).verdict == "valid-indecomposable", d
+    # s = 3 at d = 301: on data 1, 5 and 8 of this stream an exhaustive
+    # schedule search runs for more than 10 s each
+    stream = _admissible_stream(301, 301, 3)
+    data = [next(stream) for _ in range(9)]
+    for datum in (data[1], data[5], data[8]):
+        cert = _within(10, realize_rp2, datum)
+        assert cert.degree == 301 and cert.datum == datum
+
+
 def test_realize_sphere_example():
     cert = realize_sphere(parse_datum("[3,1,1];[3,2];[3,2]", "s2"))
     assert cert.u_images[0] == parse_cycles("(1 5 3)", 5)
@@ -135,6 +192,25 @@ def test_verifier_valid_decomposable_cyclic():
     report = verify_certificate(cert)
     assert report.relation_ok and report.transitive and not report.primitive
     assert report.verdict == "valid-decomposable"
+
+
+def test_verdicts_search_orbits_once(monkeypatch):
+    searches = []
+    original = groups.orbits
+
+    def counting(gens):
+        searches.append(gens)
+        return original(gens)
+
+    monkeypatch.setattr(groups, "orbits", counting)
+    cert = realize_rp2(parse_datum("[3,2];[3,2]", "rp2"))
+    searches.clear()
+    assert verify_certificate(cert).verdict == "valid-indecomposable"
+    assert len(searches) == 1
+    searches.clear()
+    gamma = parse_cycles("(1 2 3 4 5 6 7 8 9)", 9)
+    assert groups.decomposability_verdict([gamma])[0] == "decomposable"
+    assert len(searches) == 1
 
 
 def test_verifier_chi_arithmetic():
