@@ -13,8 +13,11 @@ handles data containing the full-cycle partition [d], where the product
 is arranged to be a d-cycle (or the identity) and the extra generator is
 a square root or a transposition.
 
-Every output is checked on the spot: membership of each factor in its
-partition, the product's cycle type, transitivity, and primitivity.
+Each public construction checks its output once, at its exit, with explicit
+checks that `python -O` keeps: `two_datum_construct` and
+`fundamental_construct` check the class of each factor, the product's cycle
+type, transitivity and primitivity; `full_cycle_datum_construct` checks the
+representation relation.  A failed check raises `EksError`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .errors import InadmissibleError, ParseError
-from .groups import is_primitive, is_transitive, primitivity_fast_path
+from .groups import GroupError, is_primitive, is_transitive, primitivity_fast_path
 from .eks import (
     EksError,
     MergeTrace,
@@ -44,8 +47,6 @@ from .perm import (
     conjugator_matching,
     embed,
     from_cycles,
-    insertion_recombine,
-    inverse,
     parse_cycles,
     project,
     random_in_class,
@@ -223,20 +224,6 @@ def _cycle_starts(cls: Partition) -> list[int]:
     return starts
 
 
-def _finish_by_insertion(lam, beta0, keep, beta_bar, B, d):
-    """Common tail of cases 1-3: beta := beta0 * embed(beta_bar), with the
-    product recombined symbolically and cross-checked against direct
-    composition."""
-    beta = compose(beta0, embed(beta_bar, d))
-    lamb0 = compose(lam, beta0)
-    downstairs = compose(project(lamb0, keep), beta_bar)
-    prod = insertion_recombine(lamb0, downstairs, keep)
-    assert prod == compose(lam, beta), "insertion recombination disagrees"
-    assert beta.cycle_type() == B
-    assert prod.cycle_type() == Partition([d - 2, 1, 1])
-    return beta
-
-
 def _case1(A: Partition, B: Partition, d: int, seed: int):
     lam = canonical_in_class(A, d)
     b1 = B.parts[0]
@@ -244,11 +231,10 @@ def _case1(A: Partition, B: Partition, d: int, seed: int):
     deleted = (1, 2)
     keep = tuple(range(3, d + 1))
     lam_bar = project(lam, keep)
-    assert compose(lam, beta0) == embed(lam_bar, d)
     parts = [b1 - 2] + list(B.parts[1:])
     Dbar2 = Partition(parts)
     beta_bar, mtrace = merge_with_trace(lam_bar, Dbar2, seed, anchor=(b1 - 2, 3))
-    beta = _finish_by_insertion(lam, beta0, keep, beta_bar, B, d)
+    beta = compose(beta0, embed(beta_bar, d))
     trace = ConstructionTrace(
         case="case1",
         beta0=beta0,
@@ -274,9 +260,7 @@ def _case2(A: Partition, B: Partition, d: int, seed: int):
     if not (t >= 4 and all(c >= 2 for c in A.parts[1:4])):
         return None
     if len(B.parts) < 2 or B.parts[1] < 2:
-        raise AssertionError(
-            "second part of the partner partition must exceed 1 here"
-        )
+        raise EksError("second part of the partner partition must exceed 1 here")
     d2 = B.parts[1]
     if d2 not in (2, 3):
         return None
@@ -294,19 +278,10 @@ def _case2(A: Partition, B: Partition, d: int, seed: int):
         beta0 = from_cycles([(a12, a11, a41), (a22, a21, a31)], d)
         deleted = (a11, a12, a21, a22, a31, a41)
     keep = tuple(x for x in range(1, d + 1) if x not in deleted)
-    lamb0 = compose(lam, beta0)
-    lam_bar = project(lamb0, keep)
-
-    c = A.parts
-    if d2 == 2:
-        expect = [c[0] - 2, (c[1] - 2) + (c[2] - 1)] + list(c[3:])
-    else:
-        expect = [(c[0] - 2) + (c[3] - 1), (c[1] - 2) + (c[2] - 1)] + list(c[4:])
-    assert lam_bar.cycle_type() == Partition(p for p in expect if p >= 1)
-
+    lam_bar = project(compose(lam, beta0), keep)
     Dbar2 = Partition(B.parts[2:])
     beta_bar, mtrace = merge_with_trace(lam_bar, Dbar2, seed)
-    beta = _finish_by_insertion(lam, beta0, keep, beta_bar, B, d)
+    beta = compose(beta0, embed(beta_bar, d))
     trace = ConstructionTrace(
         case="case2-general",
         beta0=beta0,
@@ -321,33 +296,22 @@ def _case2(A: Partition, B: Partition, d: int, seed: int):
 def _case3(A: Partition, B: Partition, d: int, seed: int):
     c1 = A.parts[0]
     if len(B.parts) < 2 or B.parts[1] != 2:
-        raise AssertionError("partner partition must contain two 2-parts here")
+        raise EksError("partner partition must contain two 2-parts here")
     lam = canonical_in_class(A, d)
     starts = _cycle_starts(A)
     if c1 <= 4:
         if len(A.parts) < 2 or A.parts[1] < 3:
-            raise AssertionError(
-                "second part below 3 contradicts the defect hypotheses"
-            )
+            raise EksError("second part below 3 contradicts the defect hypotheses")
         deleted = (1, 2, starts[1], starts[1] + 1)
         beta0 = from_cycles([(1, 2), (starts[1] + 1, starts[1])], d)
     else:
         deleted = (1, 2, 3, 4)
         beta0 = from_cycles([(1, 2), (3, 4)], d)
     keep = tuple(x for x in range(1, d + 1) if x not in deleted)
-    lamb0 = compose(lam, beta0)
-    lam_bar = project(lamb0, keep)
-
-    c = A.parts
-    if c1 <= 4:
-        expect = [c[0] - 2, c[1] - 2] + list(c[2:])
-    else:
-        expect = [c[0] - 4] + list(c[1:])
-    assert lam_bar.cycle_type() == Partition(p for p in expect if p >= 1)
-
+    lam_bar = project(compose(lam, beta0), keep)
     Dbar2 = Partition(B.parts[2:])
     beta_bar, mtrace = merge_with_trace(lam_bar, Dbar2, seed)
-    beta = _finish_by_insertion(lam, beta0, keep, beta_bar, B, d)
+    beta = compose(beta0, embed(beta_bar, d))
     trace = ConstructionTrace(
         case="case3",
         beta0=beta0,
@@ -385,16 +349,13 @@ def two_datum_construct(
     d = _check_pair_gate(D1, D2)
 
     if d == 3:
-        assert D1 == D2 == Partition([3])
-        lam = canonical_in_class(D1, 3)
-        beta = lam.inverse()
+        lam_out = canonical_in_class(D1, 3)
+        beta_out = lam_out.inverse()
         trace = ConstructionTrace(case="d3")
-        lam_out, beta_out = lam, beta
     else:
         swapped = D1.nu < D2.nu
         A, B = (D2, D1) if swapped else (D1, D2)
         c1, b1 = A.parts[0], B.parts[0]
-        assert c1 >= 3, "largest part below 3 contradicts the defect bound"
         got = None
         if c1 + b1 > 6 and b1 >= 3:
             got = _case1(A, B, d, seed)
@@ -408,23 +369,31 @@ def two_datum_construct(
         trace.swapped = swapped
         lam_out, beta_out = (beta, lam) if swapped else (lam, beta)
 
-    assert lam_out.cycle_type() == D1 and beta_out.cycle_type() == D2
-    prod = compose(lam_out, beta_out)
-    assert prod.cycle_type() == Partition([d - 2, 1, 1])
-    assert is_transitive([lam_out, beta_out])
-    _assert_primitive([lam_out, beta_out], d)
+    _check_construction([lam_out, beta_out], (D1, D2), d)
     return lam_out, beta_out, trace
 
 
-def _assert_primitive(gens, d):
-    if d == 2:
-        return
-    fast = primitivity_fast_path(gens, d - 2) if d > 3 else None
-    if fast is None:
-        prim, _ = is_primitive(gens)
-        assert prim, "construction produced an imprimitive group"
-    else:
-        assert fast
+def _check_construction(sigmas, parts, d):
+    """Output check of a public construction: sigma_i in parts[i], the
+    ordered product of type [d-2,1,1], the span transitive and primitive.
+
+    One orbit search settles transitivity: `primitivity_fast_path` raises
+    on an intransitive span and applies for every odd d > 3; only d = 3
+    falls back to the exact test.
+    """
+    for sigma, cls in zip(sigmas, parts):
+        if sigma.cycle_type() != cls:
+            raise EksError(f"construction output: a factor is not in the class {cls}")
+    if compose(*sigmas).cycle_type() != Partition([d - 2, 1, 1]):
+        raise EksError("construction output: the product is not of type [d-2,1,1]")
+    try:
+        prim = primitivity_fast_path(sigmas, d - 2)
+        if prim is None:
+            prim = is_primitive(sigmas)[0]
+    except GroupError as exc:
+        raise EksError(f"construction output: {exc}") from exc
+    if not prim:
+        raise EksError("construction output: the group is imprimitive")
 
 
 # -- reduction and induction -----------------------------------------------------------
@@ -467,9 +436,7 @@ def reduce_collection(datum: BranchDatum, seed: int = 0) -> ReductionStep:
     if rest_nu == 1:
         # exactly one spare transposition: keep a defect-heavy partition out
         # of the merged pair so the reduced datum clears the gate
-        assert len(parts) == 3
         heavy = 0 if parts[0].nu > 1 else 1
-        assert parts[heavy].nu > 1
         i1, i2 = 1 - heavy, 2
 
     A, B = parts[i1], parts[i2]
@@ -488,7 +455,6 @@ def reduce_collection(datum: BranchDatum, seed: int = 0) -> ReductionStep:
         degree=d,
         partitions=(D, *(parts[i] for i in keep_idx)),
     )
-    assert reduced.nu % 2 == 0 and reduced.nu > d - 1, "reduction broke the gate"
     return ReductionStep(reduced=reduced, gamma1=gamma1, gamma2=gamma2, merged=(i1, i2))
 
 
@@ -527,20 +493,13 @@ def fundamental_construct(datum: BranchDatum, seed: int = 0) -> tuple[Permutatio
     lam_hat = conjugator_matching(compose(step.gamma1, step.gamma2), sigma_hat)
     g1 = conjugate(step.gamma1, lam_hat)
     g2 = conjugate(step.gamma2, lam_hat)
-    assert compose(g1, g2) == sigma_hat
 
     i1, i2 = step.merged
     keep_idx = [i for i in range(len(parts)) if i not in (i1, i2)]
     internal = [g1, g2, *sub[1:]]
     targets = [i1, i2, *keep_idx]
     sigmas = _reorder_factors(internal, targets)
-
-    prod = compose(*sigmas)
-    assert prod.cycle_type() == Partition([d - 2, 1, 1])
-    for sigma, cls in zip(sigmas, parts):
-        assert sigma.cycle_type() == cls
-    assert is_transitive(sigmas)
-    _assert_primitive(sigmas, d)
+    _check_construction(sigmas, parts, d)
     return tuple(sigmas)
 
 
@@ -582,7 +541,6 @@ def _perturb_until_nontrivial(gammas: dict[int, Permutation], order: list[int], 
     for i in order:
         if any(len(c) >= 3 for c in gammas[i].cycles()):
             gammas[i] = gammas[i].inverse()
-            assert not rotated_product().is_identity()
             return
     for i in order:
         two = next((c for c in gammas[i].cycles() if len(c) == 2), None)
@@ -592,17 +550,14 @@ def _perturb_until_nontrivial(gammas: dict[int, Permutation], order: list[int], 
         z = next(x for x in range(1, d + 1) if x not in two)
         swap = from_cycles([(y, z)], d)
         gammas[i] = conjugate(gammas[i], swap)
-        assert not rotated_product().is_identity()
         return
-    raise AssertionError("no transposition available to perturb")
+    raise EksError("no transposition available to perturb")
 
 
 def _full_cycle_partner_search(B: Permutation, seed: int) -> Permutation:
     """A d-cycle g with B*g a d-cycle and <B, g> primitive (verified search;
     the constructive proof lives outside this library)."""
     d = B.degree
-    assert B.nu() % 2 == 0 and B.nu() < d - 1
-    assert B.fixed_points() or not compose(B, B).is_identity()
     full = Partition([d])
     rng = random.Random(seed)
     for _ in range(256 + 64 * d):
@@ -652,10 +607,7 @@ def full_cycle_datum_construct(
         B = Permutation.identity(d)
         for i in order:
             B = compose(B, gammas[i])
-        assert not B.is_identity()
-        q = len(B.cycles())
-        assert q % 2 == 1, "parity forces an odd number of product cycles"
-        if q == 1:
+        if len(B.cycles()) == 1:
             u_idx = B.inverse()
             a = from_cycles([(1, u_idx(1))], d)
         else:
@@ -666,12 +618,10 @@ def full_cycle_datum_construct(
             R = Permutation.identity(d)
             for i in range(idx + 1, s):
                 R = compose(R, gammas[i])
-            C = compose(L, u_idx, R)
-            assert len(C.cycles()) == 1
-            a = sqrt_odd_cycle(C).inverse()
+            a = sqrt_odd_cycle(compose(L, u_idx, R)).inverse()
         gammas[idx] = u_idx
         us = tuple(gammas[i] for i in range(s))
 
-    total = compose(a, a, *us)
-    assert total.is_identity(), "representation relation violated"
+    if not compose(a, a, *us).is_identity():
+        raise EksError("construction output: the representation relation is violated")
     return a, us

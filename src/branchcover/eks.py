@@ -30,7 +30,6 @@ from typing import Iterable, Sequence
 
 from .perm import (
     Partition,
-    PermError,
     Permutation,
     all_in_class,
     canonical_in_class,
@@ -220,7 +219,6 @@ def _merge_split(lam: Permutation, target: Partition, anchor, rng):
     if k == len(E):
         return None
     f = dbar - nu_lam - acc
-    assert 1 <= f < E[k]
 
     tail = E[k:]
     mode = "free"
@@ -536,14 +534,8 @@ def _factor_two_cycles_rng(tau, rng):
         gamma = random_in_class(full, dom, rng)
         sigma = compose(tau, gamma.inverse())
         if len(sigma.nontrivial_cycles()) == 1 and len(sigma.support()) == n:
-            assert compose(sigma, gamma) == tau
             return sigma, gamma
-    got = _factor_backtrack(tau)
-    if got is None:
-        return None
-    sigma, gamma = got
-    assert compose(sigma, gamma) == tau
-    return sigma, gamma
+    return _factor_backtrack(tau)
 
 
 def _factor_backtrack(tau):
@@ -630,7 +622,4 @@ def aligning_conjugator(
     src = cycles[0]
     src = src[src.index(fixed) :] + src[: src.index(fixed)]
     tgt = target[target.index(fixed) :] + target[: target.index(fixed)]
-    eta = Permutation.from_mapping(dict(zip(src, tgt)), sigma.domain).inverse()
-    assert eta(fixed) == fixed
-    assert conjugate(sig_inv, eta) == from_cycles([tgt], sigma.domain)
-    return eta
+    return Permutation.from_mapping(dict(zip(src, tgt)), sigma.domain).inverse()

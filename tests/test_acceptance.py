@@ -56,24 +56,64 @@ def test_criterion_1_appendix_replay(capsys):
     _announce(capsys, f"PASS criterion 1: appendix replay 19/19 exact in {elapsed:.3f}s")
 
 
+def _reduced_d1(case, A, B):
+    """Cycle type of the reduced lam that each case's deletion predicts."""
+    c = A.parts
+    if case == "case1":
+        expect = [c[0] - 2, *c[1:]]
+    elif case == "case2-general" and B.parts[1] == 2:
+        expect = [c[0] - 2, (c[1] - 2) + (c[2] - 1), *c[3:]]
+    elif case == "case2-general":
+        expect = [(c[0] - 2) + (c[3] - 1), (c[1] - 2) + (c[2] - 1), *c[4:]]
+    elif c[0] <= 4:  # case3, deleting from the first two cycles
+        expect = [c[0] - 2, c[1] - 2, *c[2:]]
+    else:  # case3, deleting four points of the first cycle
+        expect = [c[0] - 4, *c[1:]]
+    return P(p for p in expect if p >= 1)
+
+
+def _check_reinsertion(A, B, lam, beta, trace):
+    """beta = beta0 * embed(beta_bar), the product recombines from the
+    reduced problem on the kept points, and the reduced lam has the type
+    the case predicts."""
+    if trace.swapped:
+        A, B, lam, beta = B, A, beta, lam
+    d = A.degree
+    keep = tuple(x for x in range(1, d + 1) if x not in trace.deleted)
+    lifted = compose(trace.beta0.inverse(), beta)
+    beta_bar = project(lifted, keep)
+    assert lifted == embed(beta_bar, d)
+    lamb0 = compose(lam, trace.beta0)
+    if trace.case == "case1":
+        assert lamb0 == embed(project(lam, keep), d)
+    downstairs = compose(project(lamb0, keep), beta_bar)
+    assert insertion_recombine(lamb0, downstairs, keep) == compose(lam, beta)
+    assert trace.reduced_d1 == project(lamb0, keep).cycle_type()
+    assert trace.reduced_d1 == _reduced_d1(trace.case, A, B)
+
+
 def test_criterion_2_two_partition_theorem_desk_scale(capsys):
     start = time.perf_counter()
-    count = 0
+    count = reinserted = 0
     for d in (3, 5, 7, 9, 11, 13):
         want = P([d - 2, 1, 1])
         for A, B in _gated_pairs(d):
-            lam, beta, _ = two_datum_construct(A, B)
+            lam, beta, trace = two_datum_construct(A, B)
             assert lam.cycle_type() == A and beta.cycle_type() == B
             assert compose(lam, beta).cycle_type() == want
             assert is_transitive([lam, beta])
             assert is_primitive([lam, beta])[0]
+            if trace.case in ("case1", "case2-general", "case3"):
+                _check_reinsertion(A, B, lam, beta, trace)
+                reinserted += 1
             count += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _announce(
         capsys,
         f"PASS criterion 2: {count} admissible pairs at d in 3..13 all "
-        f"realized and verified in {elapsed:.1f}s"
+        f"realized and verified, {reinserted} re-insertions recombined, "
+        f"in {elapsed:.1f}s"
     )
 
 

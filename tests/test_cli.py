@@ -1,5 +1,6 @@
 """Command-line interface: exit codes and byte-exact determinism."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -138,21 +139,59 @@ def test_verify_decomposable_certificate(tmp_path, capsys):
     assert "valid-decomposable" in out
 
 
-def test_verify_without_asserts(tmp_path):
-    f = tmp_path / "cyclic.txt"
-    f.write_text(DECOMPOSABLE_CERT)
+def _cli_process(*argv, optimize=False):
+    """Run the branchcover command in a fresh interpreter, with -O if asked."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "branchcover.cli", "verify", "--certificate", str(f)],
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "branchcover.cli", *argv],
         capture_output=True,
-        text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_verify_without_asserts(tmp_path):
+    f = tmp_path / "cyclic.txt"
+    f.write_text(DECOMPOSABLE_CERT)
+    proc = _cli_process("verify", "--certificate", str(f), optimize=True)
     assert proc.returncode == 1
-    assert "primitive=False" in proc.stdout
+    assert b"primitive=False" in proc.stdout
+
+
+def test_library_has_no_assert_statements():
+    package = Path(cli.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "base, datum",
+    [
+        ("rp2", "[3];[3]"),  # d = 3 (contains [3]: the full-cycle route)
+        ("rp2", "[5,2];[4,3]"),  # case1
+        ("rp2", "[3,2];[3,2]"),  # case2-table
+        ("rp2", "[3,3,3,3,1];[3,3,3,3,1]"),  # case2-general
+        ("rp2", "[6,1];[2,2,2,1]"),  # case3
+        ("rp2", "[3,2];[3,2];[2,2,1]"),  # s = 3: reduction, then a pair
+        ("rp2", "[3,1,1];[5]"),  # full cycle with a partner search
+        ("s2", "[3,1,1];[3,2];[3,2]"),  # sphere
+    ],
+)
+def test_realize_output_is_the_same_under_optimize(base, datum):
+    argv = ("realize", "--base", base, "--datum", datum)
+    plain = _cli_process(*argv)
+    optimized = _cli_process(*argv, optimize=True)
+    assert plain.returncode == optimized.returncode == 0, plain.stderr
+    assert plain.stdout == optimized.stdout
+    assert plain.stdout.startswith(f"base: {base}\n".encode())
 
 
 def _count_verifications(monkeypatch):

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from branchcover import construct
 from branchcover.construct import (
     BranchDatum,
     ConstructionTrace,
@@ -15,11 +16,13 @@ from branchcover.construct import (
     single_branch_verdict,
     two_datum_construct,
 )
+from branchcover.eks import EksError
 from branchcover.errors import InadmissibleError, ParseError
 from branchcover.groups import is_primitive, is_transitive
 from branchcover.oracle import partitions_of
 from branchcover.perm import (
     Partition,
+    Permutation,
     compose,
     embed,
     parse_cycles,
@@ -129,6 +132,49 @@ def test_two_datum_exhaustive_sweep_small():
                 continue
             lam, beta, _ = two_datum_construct(A, B)
             _check_pair(A, B, lam, beta)
+
+
+@pytest.mark.parametrize(
+    "step, wrong, call",
+    [
+        (
+            "embed",
+            lambda p, d: Permutation.identity(d),
+            lambda: two_datum_construct(P([5, 2]), P([4, 3])),
+        ),
+        (
+            "_reorder_factors",
+            lambda sigmas, targets: sigmas[::-1],
+            lambda: fundamental_construct(
+                BranchDatum("rp2", 5, (P([3, 2]), P([3, 2]), P([2, 2, 1])))
+            ),
+        ),
+        (
+            "sqrt_odd_cycle",
+            lambda p: p,
+            lambda: full_cycle_datum_construct(
+                BranchDatum("rp2", 5, (P([3, 1, 1]), P([5])))
+            ),
+        ),
+    ],
+    ids=["two_datum", "fundamental_s3", "full_cycle"],
+)
+def test_construction_postconditions_survive_without_asserts(
+    monkeypatch, step, wrong, call
+):
+    # a broken construction step must meet an explicit check, not an assert
+    monkeypatch.setattr(construct, step, wrong)
+    with pytest.raises(EksError, match="construction output"):
+        call()
+
+
+def test_construction_check_rejects_an_intransitive_span():
+    # right classes and a (d-2)-cycle product, but {4, 5} is an orbit
+    lam = parse_cycles("(1 2 3)(4 5)", 5)
+    beta = parse_cycles("(4 5)", 5)
+    assert compose(lam, beta).cycle_type() == P([3, 1, 1])
+    with pytest.raises(EksError, match="transitive"):
+        construct._check_construction([lam, beta], (P([3, 2]), P([2, 1, 1, 1])), 5)
 
 
 def test_reduce_collection_spec_example():
