@@ -54,6 +54,7 @@ from .construct import (
     AppendixRow,
     BranchDatum,
     ConstructionTrace,
+    admissible,
     full_cycle_datum_construct,
     fundamental_construct,
     load_appendix_table,
@@ -65,7 +66,6 @@ from .construct import (
 from .realize import (
     HurwitzCertificate,
     VerificationReport,
-    admissible,
     certificate_from_text,
     certificate_to_text,
     euler_characteristic,

@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .construct import parse_datum, single_branch_verdict
+from .construct import admissible, parse_datum, single_branch_verdict
 from .eks import EksError
 from .errors import InadmissibleError, ParseError, VerificationError
 from .oracle import census, verify_appendix_table
 from .perm import PermError
 from .realize import (
-    admissible,
     certificate_from_text,
     certificate_to_text,
     euler_characteristic,
@@ -62,7 +61,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.certificate) as fh:
+    with open(args.certificate, encoding="utf-8") as fh:
         cert = certificate_from_text(fh.read())
     report = verify_certificate(cert)
     line = (
@@ -166,10 +165,10 @@ def main(argv=None) -> int:
     except InadmissibleError as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except (VerificationError, EksError, AssertionError) as exc:
+    except (VerificationError, EksError) as exc:
         print(f"verification failure (internal defect): {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

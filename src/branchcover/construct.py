@@ -1,23 +1,31 @@
 """Constructive realization of branch data by permutation tuples.
 
+`admissible` states the admissibility rule once for the whole library
+(odd degree, even total defect, the d-1 and 2d-2 thresholds, the boundary
+only with a branch point [d]); every construction entry and `realize` gate
+on it.
+
 `two_datum_construct` realizes a pair of partitions of odd degree d with
 even total defect above d-1 by permutations whose product is a
 (d-2)-cycle generating a transitive (hence primitive) group.  The
-construction follows a case split on the two largest parts: a
-delete-two-points reduction with an anchored merge, a small-shape golden
-table, or a four-point deletion, each finished by re-inserting the
-deleted runs.  `reduce_collection` and `fundamental_construct` extend
-this to arbitrarily many partitions by merging the first two with
-controlled product defect and recursing.  `full_cycle_datum_construct`
-handles data containing the full-cycle partition [d], where the product
-is arranged to be a d-cycle (or the identity) and the extra generator is
-a square root or a transposition.
+construction follows a case split on the two largest parts: a small-shape
+golden table, or one of three deletion cases.  Each deletion case only
+chooses a partial partner beta0 on two to six deleted points, the reduced
+target and (case 1) an anchor; `_reinsert` merges lam*beta0 on the kept
+points into a full cycle and re-inserts the deleted points.
+`reduce_collection` and `fundamental_construct` extend this to arbitrarily
+many partitions by merging the first two with controlled product defect
+and recursing.  `full_cycle_datum_construct` handles data containing the
+full-cycle partition [d], where the product is arranged to be a d-cycle
+(or the identity) and the extra generator is a square root or a
+transposition.
 
 Each public construction checks its output once, at its exit, with explicit
 checks that `python -O` keeps: `two_datum_construct` and
 `fundamental_construct` check the class of each factor, the product's cycle
 type, transitivity and primitivity; `full_cycle_datum_construct` checks the
-representation relation.  A failed check raises `EksError`.
+representation relation.  The golden table passes the same output check
+when it is loaded.  A failed check raises `EksError`.
 """
 
 from __future__ import annotations
@@ -82,6 +90,45 @@ class BranchDatum:
 
     def __str__(self) -> str:
         return ";".join(str(p) for p in self.partitions)
+
+
+def admissible(datum: BranchDatum) -> tuple[bool, str]:
+    """The admissibility rule, stated once for the whole library.
+
+    Rejects, with the reason, an even degree, an odd total defect nu,
+    nu < d-1 over the projective plane and nu < 2d-2 over the sphere (chi(M)
+    would exceed 2).  Otherwise returns True with the kind of datum:
+    'strict' (nu > d-1), 'boundary' (nu = d-1, which the construction covers
+    only with a full-cycle branch point [d]) or, over the sphere,
+    'necessary-only' (realized only on the [d-2,1,1] pipeline).
+    """
+    d, nu = datum.degree, datum.nu
+    if d % 2 == 0:
+        reason = "even degree out of scope (covered by the prior even-degree result)"
+        return False, reason
+    if nu % 2 != 0:
+        return False, f"parity violation: nu={nu} is odd"
+    if datum.base == "s2":
+        if nu < 2 * d - 2:
+            return False, f"nu={nu} below 2d-2={2 * d - 2}: chi(M) would exceed 2"
+        return True, "necessary-only"
+    if nu < d - 1:
+        return False, f"nu={nu} below d-1={d - 1}"
+    if nu == d - 1:
+        return True, "boundary"
+    return True, "strict"
+
+
+def _require_constructible(partitions: tuple[Partition, ...]) -> None:
+    """Raise InadmissibleError unless the construction covers the partitions:
+    the projective-plane rule of `admissible` (the construction is the same
+    whatever the base tag), the boundary only with a branch point [d]."""
+    datum = BranchDatum("rp2", partitions[0].degree, partitions)
+    ok, kind = admissible(datum)
+    if ok and kind == "boundary" and Partition([datum.degree]) not in partitions:
+        ok, kind = False, "boundary defect nu = d-1 without a full-cycle branch point"
+    if not ok:
+        raise InadmissibleError(kind)
 
 
 def parse_datum(text: str, base: str) -> BranchDatum:
@@ -149,19 +196,17 @@ def load_appendix_table() -> tuple[AppendixRow, ...]:
     )
     rows = _parse_table(text)
     if len(rows) != 19:
-        raise AssertionError(f"appendix table corrupt: {len(rows)} rows")
+        raise EksError(f"appendix table corrupt: {len(rows)} rows")
     for row in rows:
-        d = row.degree
-        if row.lam.cycle_type() != row.D1 or row.beta.cycle_type() != row.D2:
-            raise AssertionError(f"table row {row.index}: class mismatch")
-        prod = compose(row.lam, row.beta)
-        if prod != row.product:
-            raise AssertionError(
+        try:
+            _check_construction([row.lam, row.beta], (row.D1, row.D2), row.degree)
+        except EksError as exc:
+            raise EksError(f"table row {row.index}: {exc}") from exc
+        if compose(row.lam, row.beta) != row.product:
+            raise EksError(
                 f"table row {row.index}: stated product mismatch "
                 "(composition convention regression?)"
             )
-        if prod.cycle_type() != Partition([d - 2, 1, 1]):
-            raise AssertionError(f"table row {row.index}: product class wrong")
     return rows
 
 
@@ -195,25 +240,10 @@ class ConstructionTrace:
 def _check_pair_gate(D1: Partition, D2: Partition) -> int:
     if D1.degree != D2.degree:
         raise InadmissibleError("partition degrees differ")
-    d = D1.degree
-    if d % 2 == 0:
-        raise InadmissibleError("even degree out of scope")
-    if d < 3:
-        raise InadmissibleError("degree below 3")
     if D1.is_trivial() or D2.is_trivial():
         raise InadmissibleError("trivial partition is not a branch point")
-    nu = D1.nu + D2.nu
-    if nu % 2 != 0:
-        raise InadmissibleError(f"parity violation: total defect {nu} is odd")
-    if nu <= d - 1:
-        raise InadmissibleError(
-            f"total defect {nu} not above {d - 1}: boundary or below"
-        )
-    return d
-
-
-def _first_cycle_labels(cls: Partition) -> tuple[int, ...]:
-    return tuple(range(1, cls.parts[0] + 1))
+    _require_constructible((D1, D2))
+    return D1.degree
 
 
 def _cycle_starts(cls: Partition) -> list[int]:
@@ -224,26 +254,33 @@ def _cycle_starts(cls: Partition) -> list[int]:
     return starts
 
 
-def _case1(A: Partition, B: Partition, d: int, seed: int):
-    lam = canonical_in_class(A, d)
-    b1 = B.parts[0]
-    beta0 = from_cycles([(3, 2, 1)], d)
-    deleted = (1, 2)
-    keep = tuple(range(3, d + 1))
-    lam_bar = project(lam, keep)
-    parts = [b1 - 2] + list(B.parts[1:])
-    Dbar2 = Partition(parts)
-    beta_bar, mtrace = merge_with_trace(lam_bar, Dbar2, seed, anchor=(b1 - 2, 3))
-    beta = compose(beta0, embed(beta_bar, d))
+def _reinsert(case, lam, beta0, deleted, Dbar2, seed, anchor=None):
+    """Merge on the kept points, then re-insert the deleted ones.
+
+    lam*beta0 is projected onto the points outside ``deleted`` and merged
+    there with Dbar2 into a full cycle; beta = beta0 * embed(beta_bar).
+    """
+    d = lam.degree
+    keep = tuple(x for x in range(1, d + 1) if x not in deleted)
+    lam_bar = project(compose(lam, beta0), keep)
+    beta_bar, mtrace = merge_with_trace(lam_bar, Dbar2, seed, anchor=anchor)
     trace = ConstructionTrace(
-        case="case1",
+        case=case,
         beta0=beta0,
         deleted=deleted,
         reduced_d1=lam_bar.cycle_type(),
         reduced_d2=Dbar2,
         merge=mtrace,
     )
-    return lam, beta, trace
+    return lam, compose(beta0, embed(beta_bar, d)), trace
+
+
+def _case1(A: Partition, B: Partition, d: int, seed: int):
+    b1 = B.parts[0]
+    lam = canonical_in_class(A, d)
+    beta0 = from_cycles([(3, 2, 1)], d)
+    Dbar2 = Partition([b1 - 2, *B.parts[1:]])
+    return _reinsert("case1", lam, beta0, (1, 2), Dbar2, seed, anchor=(b1 - 2, 3))
 
 
 def _case2(A: Partition, B: Partition, d: int, seed: int):
@@ -265,7 +302,6 @@ def _case2(A: Partition, B: Partition, d: int, seed: int):
     if d2 not in (2, 3):
         return None
 
-    lam = canonical_in_class(A, d)
     starts = _cycle_starts(A)
     a11, a12 = starts[0], starts[0] + 1
     a21, a22 = starts[1], starts[1] + 1
@@ -277,27 +313,14 @@ def _case2(A: Partition, B: Partition, d: int, seed: int):
         a41 = starts[3]
         beta0 = from_cycles([(a12, a11, a41), (a22, a21, a31)], d)
         deleted = (a11, a12, a21, a22, a31, a41)
-    keep = tuple(x for x in range(1, d + 1) if x not in deleted)
-    lam_bar = project(compose(lam, beta0), keep)
-    Dbar2 = Partition(B.parts[2:])
-    beta_bar, mtrace = merge_with_trace(lam_bar, Dbar2, seed)
-    beta = compose(beta0, embed(beta_bar, d))
-    trace = ConstructionTrace(
-        case="case2-general",
-        beta0=beta0,
-        deleted=deleted,
-        reduced_d1=lam_bar.cycle_type(),
-        reduced_d2=Dbar2,
-        merge=mtrace,
-    )
-    return lam, beta, trace
+    lam = canonical_in_class(A, d)
+    return _reinsert("case2-general", lam, beta0, deleted, Partition(B.parts[2:]), seed)
 
 
 def _case3(A: Partition, B: Partition, d: int, seed: int):
     c1 = A.parts[0]
     if len(B.parts) < 2 or B.parts[1] != 2:
         raise EksError("partner partition must contain two 2-parts here")
-    lam = canonical_in_class(A, d)
     starts = _cycle_starts(A)
     if c1 <= 4:
         if len(A.parts) < 2 or A.parts[1] < 3:
@@ -307,20 +330,8 @@ def _case3(A: Partition, B: Partition, d: int, seed: int):
     else:
         deleted = (1, 2, 3, 4)
         beta0 = from_cycles([(1, 2), (3, 4)], d)
-    keep = tuple(x for x in range(1, d + 1) if x not in deleted)
-    lam_bar = project(compose(lam, beta0), keep)
-    Dbar2 = Partition(B.parts[2:])
-    beta_bar, mtrace = merge_with_trace(lam_bar, Dbar2, seed)
-    beta = compose(beta0, embed(beta_bar, d))
-    trace = ConstructionTrace(
-        case="case3",
-        beta0=beta0,
-        deleted=deleted,
-        reduced_d1=lam_bar.cycle_type(),
-        reduced_d2=Dbar2,
-        merge=mtrace,
-    )
-    return lam, beta, trace
+    lam = canonical_in_class(A, d)
+    return _reinsert("case3", lam, beta0, deleted, Partition(B.parts[2:]), seed)
 
 
 def _pair_search_fallback(A: Partition, B: Partition, d: int, seed: int):
@@ -407,25 +418,10 @@ class ReductionStep:
     merged: tuple[int, int]
 
 
-def _check_datum_gate(datum: BranchDatum):
-    d = datum.degree
-    if d % 2 == 0:
-        raise InadmissibleError("even degree out of scope")
-    if d < 3:
-        raise InadmissibleError("degree below 3")
-    nu = datum.nu
-    if nu % 2 != 0:
-        raise InadmissibleError(f"parity violation: total defect {nu} is odd")
-    if nu <= d - 1:
-        raise InadmissibleError(
-            f"total defect {nu} not above {d - 1}: boundary or below"
-        )
-
-
 def reduce_collection(datum: BranchDatum, seed: int = 0) -> ReductionStep:
     """Merge two partitions of the datum into the cycle type of a product
     with controlled defect, preserving the admissibility gate."""
-    _check_datum_gate(datum)
+    _require_constructible(datum.partitions)
     if len(datum.partitions) < 3:
         raise InadmissibleError("reduction needs at least three partitions")
     d = datum.degree
@@ -480,7 +476,7 @@ def _reorder_factors(sigmas: list[Permutation], targets: list[int]) -> list[Perm
 def fundamental_construct(datum: BranchDatum, seed: int = 0) -> tuple[Permutation, ...]:
     """Permutations sigma_i, one per partition in order, whose product is a
     (d-2)-cycle and whose span is transitive and primitive."""
-    _check_datum_gate(datum)
+    _require_constructible(datum.partitions)
     d = datum.degree
     parts = datum.partitions
     if len(parts) == 2:
@@ -519,6 +515,8 @@ def _is_prime(n: int) -> bool:
 
 def single_branch_verdict(d: int) -> str:
     """Verdict for the one-branch-point self-covering of the projective plane."""
+    if d < 1:
+        raise InadmissibleError(f"degree {d} is not positive")
     if d % 2 == 0:
         raise InadmissibleError("even degree excluded: the datum {[d]} forces d odd")
     if d == 1 or _is_prime(d):
@@ -576,14 +574,10 @@ def full_cycle_datum_construct(
     """Certificate ingredients (a, u_1..u_s) with a^2 * u_1 * ... * u_s = 1
     for a datum containing the partition [d]."""
     d = datum.degree
-    if d % 2 == 0:
-        raise InadmissibleError("even degree out of scope")
     full = Partition([d])
     if full not in datum.partitions:
         raise InadmissibleError("datum does not contain the full-cycle partition")
-    nu = datum.nu
-    if nu % 2 != 0 or nu < d - 1:
-        raise InadmissibleError("datum is not nonorientable-admissible")
+    _require_constructible(datum.partitions)
     s = len(datum.partitions)
     if s == 1 and not _is_prime(d):
         raise InadmissibleError(

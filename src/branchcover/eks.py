@@ -15,11 +15,13 @@ The primary merge path is greedy cycle threading: each k-cycle of the
 output consumes one fresh element from each of k distinct cycles of the
 running product, merging them (any such choice merges, so only the
 availability of fresh elements can stall the schedule; taking the cycles
-with the most fresh elements stalls only when every schedule does).  Surplus
-defect is absorbed by splitting the target into an exactly-threadable
-piece plus an even remainder realized as a conjugated product of two full
-cycles.  Seeded randomized search backs every path; outputs are always
-checked, so the fallbacks carry correctness.
+with the most fresh elements stalls only when every schedule does).  One
+path, `_merge_split`, serves every merge, anchored or not: it threads the
+smallest parts of the target while their defect fits, which is the whole
+target when there is no surplus defect (merge kind 'threading'); otherwise
+the even remainder is realized as a conjugated product of two full cycles
+(merge kind 'split').  Seeded randomized search backs every path; outputs
+are always checked, so the fallbacks carry correctness.
 """
 
 from __future__ import annotations
@@ -50,12 +52,9 @@ class EksError(ValueError):
 class SplitTrace:
     """Intermediates of the surplus-defect path."""
 
-    exact_part: Partition          # threadable piece of the target
     remainder_part: Partition      # even remainder on the small point set
     f: int
     z: int
-    j_entry: int                   # entry of the target split across both pieces
-    star: int
     beta_prime: Permutation
     beta_second: Permutation
     tau: Permutation
@@ -203,9 +202,11 @@ def _canonical_tau(t2_parts: Sequence[int], mod_index: int, star: int, us: Seque
 
 
 def _merge_split(lam: Permutation, target: Partition, anchor, rng):
-    """Surplus-defect merge: peel an exactly-threadable piece off the target,
-    absorb the even remainder through a two-full-cycle factorization aligned
-    back into the running full cycle."""
+    """Threading merge: thread the smallest parts of the target while their
+    defect fits under a full cycle.  With no surplus defect that is the whole
+    target and the threading is the answer (split trace None); otherwise the
+    even remainder is absorbed through a two-full-cycle factorization
+    aligned back into the running full cycle."""
     dbar = lam.degree
     t = len(lam.cycles())
     nu_lam = dbar - t
@@ -216,8 +217,6 @@ def _merge_split(lam: Permutation, target: Partition, anchor, rng):
     while k < len(E) and nu_lam + acc + (E[k] - 1) <= dbar - 1:
         acc += E[k] - 1
         k += 1
-    if k == len(E):
-        return None
     f = dbar - nu_lam - acc
 
     tail = E[k:]
@@ -256,6 +255,8 @@ def _merge_split(lam: Permutation, target: Partition, anchor, rng):
     if placed is None:
         return None
     beta_prime = from_cycles(placed.values(), lam.domain)
+    if not tail:
+        return beta_prime, None
     prod = compose(lam, beta_prime)
     if len(prod.cycles()) != 1:
         return None
@@ -295,12 +296,9 @@ def _merge_split(lam: Permutation, target: Partition, anchor, rng):
     beta_bar = compose(beta_prime, embed(beta_second, lam.domain))
 
     trace = SplitTrace(
-        exact_part=Partition(list(E[:k]) + [f] + [1] * (ones + z)),
         remainder_part=Partition(t2_parts),
         f=f,
         z=z,
-        j_entry=tail[j_idx],
-        star=star,
         beta_prime=beta_prime,
         beta_second=beta_second,
         tau=tau,
@@ -333,32 +331,15 @@ def merge_with_trace(
         raise EksError("anchor entry is not a part of the target")
 
     rng = random.Random(seed)
-    excess = nu_sum - (dbar - 1)
-    beta = trace = None
-    if excess == 0:
-        parts = [(p, i) for i, p in enumerate(target.parts) if p > 1]
-        reserved: list[int] = []
-        thread_anchor = None
-        if anchor is not None:
-            a_e, pt = anchor
-            if a_e == 1:
-                reserved.append(pt)
-            else:
-                idx = next(i for i, p in enumerate(target.parts) if p == a_e)
-                thread_anchor = (idx, pt)
-        beta = _beta_from_threading(lam, parts, reserved, thread_anchor)
-        if beta is not None:
-            trace = MergeTrace(kind="threading")
+    got = _merge_split(lam, target, anchor, rng)
+    if got is not None:
+        beta, split = got
+        trace = MergeTrace(kind="threading" if split is None else "split", split=split)
     else:
-        got = _merge_split(lam, target, anchor, rng)
-        if got is not None:
-            beta, split = got
-            trace = MergeTrace(kind="split", split=split)
-    if beta is None:
         beta = _search_merge(lam, target, anchor, rng)
+        if beta is None:
+            raise EksError("internal merge search exhausted (defect)")
         trace = MergeTrace(kind="search")
-    if beta is None:
-        raise EksError("internal merge search exhausted (defect)")
 
     if beta.cycle_type() != target:
         raise EksError(f"{trace.kind} merge output has the wrong cycle type")

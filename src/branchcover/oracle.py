@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
-from .construct import BranchDatum, load_appendix_table
+from .construct import BranchDatum, admissible, load_appendix_table
+from .eks import EksError
 from .errors import InadmissibleError
 from .groups import BlockSystem, is_primitive, is_transitive
 from .perm import Partition, Permutation, all_in_class, canonical_in_class, compose
@@ -117,7 +118,7 @@ def verify_appendix_table() -> list[dict]:
             "primitive": is_primitive([row.lam, row.beta])[0],
         }
         if not all(v for k, v in entry.items() if k not in ("index", "degree")):
-            raise AssertionError(f"appendix row {row.index} failed: {entry}")
+            raise EksError(f"appendix row {row.index} failed: {entry}")
         report.append(entry)
     return report
 
@@ -154,8 +155,8 @@ def census(
     """Realize and verify every admissible datum of degree d with at most
     max_s branch points; boundary and inadmissible data are classified
     without being attempted."""
-    if d % 2 == 0 or d > 13:
-        raise InadmissibleError("census caps: d odd and at most 13")
+    if d % 2 == 0 or not 3 <= d <= 13:
+        raise InadmissibleError("census caps: d odd, from 3 to 13")
     if max_s > 4:
         raise InadmissibleError("census caps: at most 4 branch points")
     usable = [p for p in partitions_of(d) if not p.is_trivial()]
@@ -164,9 +165,10 @@ def census(
             datum = BranchDatum(base="rp2", degree=d, partitions=tuple(combo))
             nu = datum.nu
             start = time.perf_counter()
-            if nu % 2 != 0 or nu < d - 1:
+            ok, kind = admissible(datum)
+            if not ok:
                 cls = "inadmissible"
-            elif nu == d - 1:
+            elif kind == "boundary":
                 cls = "boundary"
             else:
                 realize_rp2(datum, seed)  # raises VerificationError unless verified

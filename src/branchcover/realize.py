@@ -1,4 +1,4 @@
-"""Admissibility gates, certificate assembly, and the independent verifier.
+"""Certificate assembly and the independent verifier.
 
 A certificate for the projective plane assigns permutations to the
 standard generators of the punctured-plane fundamental group subject to
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .construct import (
     BranchDatum,
+    admissible,
     full_cycle_datum_construct,
     fundamental_construct,
     parse_datum,
@@ -69,50 +70,16 @@ def euler_characteristic(base: str, d: int, nu: int) -> int:
     return d * _CHI_BASE[base] - nu
 
 
-def admissible(datum: BranchDatum) -> tuple[bool, str]:
-    """Necessary realizability gate for a connected covering surface.
-
-    Projective plane: d-1 <= nu even (the boundary nu == d-1 is flagged).
-    Sphere: nu even with nu >= 2d-2, i.e. chi(M) <= 2; this gate is
-    necessary only, except on the dedicated sphere pipeline.
-    """
-    nu = datum.nu
-    d = datum.degree
-    if nu % 2 != 0:
-        return False, f"parity violation: nu={nu} is odd"
-    if datum.base == "rp2":
-        if nu < d - 1:
-            return False, f"nu={nu} below d-1={d - 1}"
-        return True, "boundary" if nu == d - 1 else "strict"
-    if nu < 2 * d - 2:
-        return False, f"nu={nu} below 2d-2={2 * d - 2}: chi(M) would exceed 2"
-    return True, "necessary-only"
-
-
 def realize_rp2(datum: BranchDatum, seed: int = 0) -> HurwitzCertificate:
     """Certificate for an indecomposable covering of the projective plane."""
     if datum.base != "rp2":
         raise InadmissibleError("datum is not over the projective plane")
     d = datum.degree
-    if d % 2 == 0:
-        raise InadmissibleError(
-            "even degree out of scope (covered by the prior even-degree result)"
-        )
-    full = Partition([d])
-    if full in datum.partitions:
+    if Partition([d]) in datum.partitions:
         a, us = full_cycle_datum_construct(datum, seed)
     else:
-        ok, reason = admissible(datum)
-        if not ok:
-            raise InadmissibleError(reason)
-        if reason == "boundary":
-            raise InadmissibleError(
-                "boundary defect nu = d-1 without a full-cycle branch point"
-            )
-        sigmas = fundamental_construct(datum, seed)
-        product = compose(*sigmas)
-        a = sqrt_odd_cycle(product).inverse()
-        us = sigmas
+        us = fundamental_construct(datum, seed)
+        a = sqrt_odd_cycle(compose(*us)).inverse()
     cert = HurwitzCertificate(
         base="rp2", degree=d, datum=datum, a_image=a, u_images=tuple(us)
     )
@@ -127,16 +94,12 @@ def realize_sphere(datum: BranchDatum, seed: int = 0) -> HurwitzCertificate:
     [d-2,1,1] with total defect at least 2d-2."""
     if datum.base != "s2":
         raise InadmissibleError("datum is not over the sphere")
+    ok, reason = admissible(datum)
+    if not ok:
+        raise InadmissibleError(reason)
     d = datum.degree
-    if d % 2 == 0:
-        raise InadmissibleError("even degree out of scope")
     if datum.partitions[0] != Partition([d - 2, 1, 1]):
         raise InadmissibleError("first partition must be [d-2,1,1]")
-    nu = datum.nu
-    if nu % 2 != 0:
-        raise InadmissibleError(f"parity violation: nu={nu} is odd")
-    if nu < 2 * d - 2:
-        raise InadmissibleError(f"nu={nu} below 2d-2={2 * d - 2}")
     tail = BranchDatum(base="rp2", degree=d, partitions=datum.partitions[1:])
     sigmas = fundamental_construct(tail, seed)
     sigma1 = compose(*sigmas).inverse()

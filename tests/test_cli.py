@@ -139,18 +139,23 @@ def test_verify_decomposable_certificate(tmp_path, capsys):
     assert "valid-decomposable" in out
 
 
-def _cli_process(*argv, optimize=False):
-    """Run the branchcover command in a fresh interpreter, with -O if asked."""
+def _python_process(*args, optimize=False):
+    """Run a fresh interpreter with the library on its path, with -O if asked."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
     flags = ["-O"] if optimize else []
     return subprocess.run(
-        [sys.executable, *flags, "-m", "branchcover.cli", *argv],
+        [sys.executable, *flags, *args],
         capture_output=True,
         env=env,
         timeout=60,
     )
+
+
+def _cli_process(*argv, optimize=False):
+    """Run the branchcover command in a fresh interpreter, with -O if asked."""
+    return _python_process("-m", "branchcover.cli", *argv, optimize=optimize)
 
 
 def test_verify_without_asserts(tmp_path):
@@ -255,3 +260,67 @@ def test_single_branch_cli(capsys):
 def test_missing_certificate_file(capsys):
     code, _, err = run(capsys, "verify", "--certificate", "/nonexistent/cert.txt")
     assert code == 3
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_certificate_is_a_parse_error(tmp_path, capsys, kind):
+    path = tmp_path / "cert"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(DECOMPOSABLE_CERT.encode().replace(b"rp2", b"rp\xff2"))
+    code, out, err = run(capsys, "verify", "--certificate", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def test_single_branch_negative_degree(capsys):
+    code, out, err = run(capsys, "single-branch", "--degree", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("inadmissible: ")
+
+
+def test_census_negative_degree(capsys):
+    code, out, err = run(capsys, "census", "--degree", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("inadmissible: census caps")
+
+
+@pytest.mark.parametrize(
+    "base, datum, reason",
+    [
+        ("rp2", "[2,2];[2,2]", "even degree out of scope"),
+        ("rp2", "[3,1,1];[2,1,1,1]", "parity violation: nu=3 is odd"),
+        ("rp2", "[2,1,1,1];[2,1,1,1]", "nu=2 below d-1=4"),
+        ("rp2", "[3,1,1];[3,1,1]", "boundary defect nu = d-1 without a full-cycle"),
+        ("s2", "[3,1,1];[3,1,1];[2,2,1]", "nu=6 below 2d-2=8"),
+    ],
+)
+def test_realize_names_the_gate_rejection(capsys, base, datum, reason):
+    code, out, err = run(capsys, "realize", "--base", base, "--datum", datum)
+    assert code == 2 and out == ""
+    assert err.startswith("inadmissible: ") and reason in err
+
+
+_CORRUPT_TABLE_THEN_CHECK = """\
+import sys
+from dataclasses import replace
+from branchcover import cli, construct
+
+parse = construct._parse_table
+
+def corrupted(text):  # the first row's beta replaced by its lambda
+    first, *rest = parse(text)
+    return (replace(first, beta=first.lam), *rest)
+
+construct._parse_table = corrupted
+construct.load_appendix_table.cache_clear()
+sys.exit(cli.main(["check-table"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_corrupted_table_row_fails_check_table(optimize):
+    proc = _python_process("-c", _CORRUPT_TABLE_THEN_CHECK, optimize=optimize)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert b"table row 1" in proc.stderr

@@ -3,12 +3,14 @@
 import math
 import random
 import signal
+from itertools import combinations_with_replacement
 
 import pytest
 
-from branchcover import groups
+from branchcover import construct, groups
 from branchcover.construct import BranchDatum, parse_datum
 from branchcover.errors import InadmissibleError, ParseError
+from branchcover.oracle import census, partitions_of
 from branchcover.perm import Partition, compose, identity, parse_cycles, sqrt_odd_cycle
 from branchcover.realize import (
     HurwitzCertificate,
@@ -268,3 +270,51 @@ def test_certificate_structural_invariants():
             a_image=identity(5),
             u_images=(identity(5),) * 2,
         )
+
+
+def _gate_rejects(datum):
+    try:
+        construct._require_constructible(datum.partitions)
+    except InadmissibleError:
+        return True
+    return False
+
+
+def _census_class(datum):
+    ok, kind = admissible(datum)
+    if not ok:
+        return "inadmissible"
+    return "boundary" if kind == "boundary" else "constructed"
+
+
+def test_realize_and_census_agree_with_the_gate():
+    """Over every rp2 datum with d <= 9 and s <= 3: realize_rp2 raises
+    InadmissibleError exactly when the gate rejects the datum, or when it is
+    a single branch point [d] of composite degree; census classifies
+    each datum as admissible() does."""
+    checked = 0
+    for d in range(2, 10):
+        if d % 2 == 0:  # census refuses even degrees
+            usable = [p for p in partitions_of(d) if not p.is_trivial()]
+            data = [
+                BranchDatum("rp2", d, combo)
+                for s in (1, 2, 3)
+                for combo in combinations_with_replacement(usable, s)
+            ]
+            built = set()
+        else:
+            rows = list(census(d, 3))
+            data = [parse_datum(row.datum, "rp2") for row in rows]
+            assert [row.classification for row in rows] == list(map(_census_class, data))
+            built = {row.datum for row in rows if row.classification == "constructed"}
+        for datum in data:
+            try:
+                if str(datum) not in built:  # census realized the others
+                    realize_rp2(datum)
+                raised = False
+            except InadmissibleError:
+                raised = True
+            # [9] is the only single branch point of composite odd degree here
+            assert raised == (_gate_rejects(datum) or str(datum) == "[9]"), str(datum)
+            checked += 1
+    assert checked > 5000
