@@ -443,8 +443,7 @@ def reduce_collection(datum: BranchDatum, seed: int = 0) -> ReductionStep:
     if r <= 0:
         gamma1, gamma2 = product_defect_exact(A, B, seed)
     else:
-        k = r % 2
-        gamma1, gamma2 = product_defect_reduced(A, B, k, seed)
+        gamma1, gamma2 = product_defect_reduced(A, B, seed)
     D = compose(gamma1, gamma2).cycle_type()
     reduced = BranchDatum(
         base=datum.base,

@@ -6,7 +6,9 @@ Three services, each verified on every call:
   cycle (`eks_merge`), optionally anchoring a designated point inside a
   designated cycle of the output;
 * realize exact or reduced defect for a product of two prescribed cycle
-  types (`product_defect_exact`, `product_defect_reduced`);
+  types (`product_defect_exact` by threading alone; `product_defect_reduced`
+  by one merge, followed for odd surplus by one transposition that splits
+  the full-cycle product into two cycles);
 * factor a non-trivial even permutation into two full cycles
   (`factor_two_full_cycles`) and align a full cycle onto a written one by
   a conjugation fixing a marked point (`aligning_conjugator`).
@@ -20,8 +22,12 @@ path, `_merge_split`, serves every merge, anchored or not: it threads the
 smallest parts of the target while their defect fits, which is the whole
 target when there is no surplus defect (merge kind 'threading'); otherwise
 the even remainder is realized as a conjugated product of two full cycles
-(merge kind 'split').  Seeded randomized search backs every path; outputs
-are always checked, so the fallbacks carry correctness.
+(merge kind 'split').  Seeded randomized search remains in three places:
+the two-full-cycle factorization (`_factor_two_cycles_rng`, backed by an
+exhaustive backtrack), the fallback of the merge (`_search_merge`) and the
+fallback of exact threading (`_search_defect`), which threading never
+leaves to fire.  Outputs are always checked, so a fallback that does fire
+still carries correctness.
 """
 
 from __future__ import annotations
@@ -130,13 +136,6 @@ def _thread(
         fresh[chosen[0]] = merged
         placed[tag] = tuple(elems)
     return placed
-
-
-def _beta_from_threading(lam: Permutation, parts, reserved=(), anchor=None):
-    placed = _thread(lam, parts, reserved, anchor)
-    if placed is None:
-        return None
-    return from_cycles(placed.values(), lam.domain)
 
 
 # -- randomized / exhaustive fallbacks ------------------------------------------
@@ -368,18 +367,24 @@ def eks_merge(
 def product_defect_exact(
     A: Partition, B: Partition, seed: int = 0
 ) -> tuple[Permutation, Permutation]:
-    """alpha in A, beta in B with nu(alpha*beta) == nu(A) + nu(B)."""
+    """alpha in A, beta in B with nu(alpha*beta) == nu(A) + nu(B).
+
+    With nu(A) + nu(B) <= d-1, threading B's parts onto canonical alpha
+    always finds enough live cycles: while surplus remains, the live count
+    is t - sum(p-1) >= 1 over the t cycles of alpha and the parts placed so
+    far, and after that live = fresh >= sum(p) of the remaining parts.
+    """
     if A.degree != B.degree:
         raise EksError("partition degrees differ")
     d = A.degree
     if A.nu + B.nu >= d:
         raise EksError("defect sum too large for exact addition")
     alpha = canonical_in_class(A, d)
-    parts = [(p, i) for i, p in enumerate(B.parts) if p > 1]
-    beta = _beta_from_threading(alpha, parts)
-    if beta is None:
-        rng = random.Random(seed)
-        beta = _search_defect(alpha, B, A.nu + B.nu, rng)
+    placed = _thread(alpha, [(p, i) for i, p in enumerate(B.parts) if p > 1])
+    if placed is not None:
+        beta = from_cycles(placed.values(), alpha.domain)
+    else:
+        beta = _search_defect(alpha, B, A.nu + B.nu, random.Random(seed))
         if beta is None:
             raise EksError("internal search exhausted (defect)")
     if beta.cycle_type() != B:
@@ -402,20 +407,18 @@ def _search_defect(alpha, B, want_nu, rng):
     return None
 
 
-def _split_arc(prod_cycle: Sequence[int], members: Sequence[int]) -> tuple[int, ...]:
-    """Arrange ``members`` of one product cycle in decreasing cycle position;
-    multiplying by that cycle splits the host into len(members) cycles."""
-    pos = {x: i for i, x in enumerate(prod_cycle)}
-    return tuple(sorted(members, key=lambda x: -pos[x]))
-
-
 def product_defect_reduced(
-    A: Partition, B: Partition, k: int, seed: int = 0
+    A: Partition, B: Partition, seed: int = 0
 ) -> tuple[Permutation, Permutation]:
-    """alpha in A, beta in B with nu(alpha*beta) == (d-1) - k.
+    """alpha in A, beta in B whose product is a full cycle when r is even and
+    has two cycles when r is odd, where nu(A) + nu(B) = (d-1) + r with r > 0.
 
-    Needs nu(A) + nu(B) = (d-1) + r with r > 0 and 0 <= k <= r of the same
-    parity as r.
+    Even r is one merge of B onto canonical alpha.  Odd r merges
+    B' = B with its smallest part b >= 2 replaced by (b-1, 1), whose defect
+    sum (d-1) + (r-1) has the merge's parity, then multiplies the output by
+    a transposition joining a (b-1)-cycle (a fixed point when b = 2) to
+    another fixed point: that restores the b-cycle, and a transposition on
+    two points of the full-cycle product splits it into two cycles.
     """
     if A.degree != B.degree:
         raise EksError("partition degrees differ")
@@ -423,71 +426,22 @@ def product_defect_reduced(
     r = A.nu + B.nu - (d - 1)
     if r <= 0:
         raise EksError("defect sum not above the full-cycle threshold")
-    if not (0 <= k <= r) or (k - r) % 2 != 0:
-        raise EksError(f"k={k} out of range or wrong parity for r={r}")
     alpha = canonical_in_class(A, d)
-    rng = random.Random(seed)
-    if k == 0:
+    if r % 2 == 0:
         beta = eks_merge(alpha, B, seed)
     else:
-        beta = _reduced_by_splitting(alpha, B, k, r) or _search_defect(
-            alpha, B, (d - 1) - k, rng
-        )
-        if beta is None:
-            raise EksError("internal search exhausted (defect)")
+        b = min(p for p in B.parts if p > 1)
+        parts = list(B.parts)
+        parts.remove(b)
+        beta = eks_merge(alpha, Partition([*parts, b - 1, 1]), seed)
+        x = next(c[0] for c in beta.cycles() if len(c) == b - 1)
+        y = next(p for p in beta.fixed_points() if p != x)
+        beta = compose(beta, from_cycles([(x, y)], alpha.domain))
     if beta.cycle_type() != B:
         raise EksError("reduced-defect output has the wrong cycle type")
-    if compose(alpha, beta).nu() != (d - 1) - k:
+    if compose(alpha, beta).nu() != (d - 1) - r % 2:
         raise EksError("reduced-defect output misses the reduced defect")
     return alpha, beta
-
-
-def _reduced_by_splitting(alpha, B, k, r):
-    """Deterministic path: thread part of B, then place the withheld parts as
-    position-decreasing arcs inside product cycles (each such placement of a
-    b-cycle splits its host into b pieces)."""
-    want_inside = (k + r) // 2
-    nontrivial = [p for p in B.parts if p > 1]
-    inside = _pick_defect_subset(nontrivial, want_inside)
-    if inside is None:
-        return None
-    threaded = list(nontrivial)
-    for p in inside:
-        threaded.remove(p)
-    parts = [(p, i) for i, p in enumerate(threaded)]
-    beta = _beta_from_threading(alpha, parts)
-    if beta is None:
-        return None
-    beta_cycles = [list(c) for c in beta.nontrivial_cycles()]
-    used = set(x for c in beta_cycles for x in c)
-    for b in sorted(inside, reverse=True):
-        prod = compose(alpha, from_cycles(beta_cycles, alpha.domain))
-        host = None
-        for cyc in sorted(prod.cycles(), key=len, reverse=True):
-            fresh = [x for x in cyc if x not in used]
-            if len(fresh) >= b:
-                host = (cyc, fresh[:b])
-                break
-        if host is None:
-            return None
-        arc = _split_arc(host[0], host[1])
-        beta_cycles.append(list(arc))
-        used.update(arc)
-    return from_cycles(beta_cycles, alpha.domain)
-
-
-def _pick_defect_subset(parts: Sequence[int], want: int):
-    """Sub-multiset with sum of (p-1) equal to ``want`` (None if impossible)."""
-    if want == 0:
-        return []
-    reachable: dict[int, list[int]] = {0: []}
-    for p in parts:
-        w = p - 1
-        for total, chosen in sorted(reachable.items(), reverse=True):
-            nt = total + w
-            if nt <= want and nt not in reachable:
-                reachable[nt] = chosen + [p]
-    return reachable.get(want)
 
 
 def factor_two_full_cycles(

@@ -157,8 +157,8 @@ def census(
     without being attempted."""
     if d % 2 == 0 or not 3 <= d <= 13:
         raise InadmissibleError("census caps: d odd, from 3 to 13")
-    if max_s > 4:
-        raise InadmissibleError("census caps: at most 4 branch points")
+    if not 1 <= max_s <= 4:
+        raise InadmissibleError("census caps: 1 to 4 branch points")
     usable = [p for p in partitions_of(d) if not p.is_trivial()]
     for s in range(1, max_s + 1):
         for combo in combinations_with_replacement(usable, s):

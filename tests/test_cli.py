@@ -280,8 +280,13 @@ def test_single_branch_negative_degree(capsys):
     assert err.startswith("inadmissible: ")
 
 
-def test_census_negative_degree(capsys):
-    code, out, err = run(capsys, "census", "--degree", "-3")
+@pytest.mark.parametrize(
+    "args",
+    [("--degree", "-3"), ("--degree", "5", "--max-s", "0"), ("--degree", "5", "--max-s", "-2")],
+    ids=["negative-degree", "max-s-0", "max-s-negative"],
+)
+def test_census_negative_degree(capsys, args):
+    code, out, err = run(capsys, "census", *args)
     assert code == 2 and out == ""
     assert err.startswith("inadmissible: census caps")
 

@@ -179,6 +179,10 @@ def test_thread_matches_brute_force_schedule_search():
     assert outcomes[True] > 0 and outcomes[False] > 0
 
 
+def _no_search(*args):
+    raise AssertionError("random defect search reached")
+
+
 def _split_inside_one_cycle(lam, parts, reserved=(), anchor=None):
     """A placement that splits the first cycle of lam instead of merging."""
     return {tag: lam.cycles()[0][:size] for size, tag in parts}
@@ -189,7 +193,7 @@ def _split_inside_one_cycle(lam, parts, reserved=(), anchor=None):
     [
         lambda: merge_with_trace(parse_cycles("(1 2 3)(4 5)", 5), Partition([2, 1, 1, 1])),
         lambda: product_defect_exact(Partition([3, 1, 1]), Partition([2, 1, 1, 1])),
-        lambda: product_defect_reduced(Partition([5]), Partition([3, 2]), 1),
+        lambda: product_defect_reduced(Partition([3, 2]), Partition([2, 2, 1])),
     ],
 )
 def test_postconditions_survive_without_asserts(monkeypatch, call):
@@ -214,8 +218,9 @@ def test_product_defect_exact_examples():
         product_defect_exact(Partition([3, 2]), Partition([3, 2]))  # sum too big
 
 
-def test_product_defect_exact_sweep():
-    for d in range(2, 8):
+def test_product_defect_exact_sweep(monkeypatch):
+    monkeypatch.setattr(eks, "_search_defect", _no_search)
+    for d in range(2, 10):
         for A in partitions_of(d):
             for B in partitions_of(d):
                 if A.nu + B.nu >= d:
@@ -227,30 +232,29 @@ def test_product_defect_exact_sweep():
 
 def test_product_defect_reduced_appendix_shape():
     A = B = Partition([3, 2])
-    a, b = product_defect_reduced(A, B, 2)
+    a, b = product_defect_reduced(A, B)  # r = 2
     assert a == parse_cycles("(1 2 3)(4 5)", 5)
-    assert b.cycle_type() == B and compose(a, b).nu() == 2
+    assert b.cycle_type() == B and compose(a, b).cycle_type() == Partition([5])
 
-    a, b = product_defect_reduced(A, B, 0)
-    assert compose(a, b).cycle_type() == Partition([5])
+    a, b = product_defect_reduced(A, Partition([2, 2, 1]))  # r = 1
+    assert b.cycle_type() == Partition([2, 2, 1])
+    assert compose(a, b).cycle_type() == Partition([4, 1])
 
     with pytest.raises(EksError):
-        product_defect_reduced(A, B, 1)  # wrong parity
-    with pytest.raises(EksError):
-        product_defect_reduced(Partition([2, 1, 1]), Partition([2, 1, 1]), 0)  # r <= 0
+        product_defect_reduced(Partition([2, 1, 1]), Partition([2, 1, 1]))  # r <= 0
 
 
-def test_product_defect_reduced_sweep():
-    for d in (5, 7):
+def test_product_defect_reduced_sweep(monkeypatch):
+    monkeypatch.setattr(eks, "_search_defect", _no_search)
+    for d in (5, 7, 9):
         for A in partitions_of(d):
             for B in partitions_of(d):
                 r = A.nu + B.nu - (d - 1)
                 if r <= 0:
                     continue
-                for k in range(r % 2, min(r, 4) + 1, 2):
-                    a, b = product_defect_reduced(A, B, k)
-                    assert a.cycle_type() == A and b.cycle_type() == B
-                    assert compose(a, b).nu() == (d - 1) - k
+                a, b = product_defect_reduced(A, B)
+                assert a.cycle_type() == A and b.cycle_type() == B
+                assert compose(a, b).nu() == (d - 1) - r % 2
 
 
 def test_factor_two_full_cycles_examples():

@@ -133,6 +133,23 @@ def test_realize_rp2_without_schedule_search_stalls():
         assert cert.degree == 301 and cert.datum == datum
 
 
+def test_realize_rp2_odd_reduction_needs_no_search():
+    # datum 13 of a seeded s = 3, d = 101 stream: merging its first two
+    # partitions needs an odd-r reduction, which a random defect search
+    # cannot find at this degree
+    datum = BranchDatum(
+        base="rp2",
+        degree=101,
+        partitions=(
+            P([6] + [4] * 3 + [3] * 3 + [2] * 9 + [1] * 56),
+            P([12, 11, 9, 7, 6, 6, 5, 5, 4] + [3] * 7 + [2] * 4 + [1] * 7),
+            P([44, 27, 16, 14]),
+        ),
+    )
+    cert = _within(10, realize_rp2, datum)
+    assert verify_certificate(cert).verdict == "valid-indecomposable"
+
+
 def test_realize_sphere_example():
     cert = realize_sphere(parse_datum("[3,1,1];[3,2];[3,2]", "s2"))
     assert cert.u_images[0] == parse_cycles("(1 5 3)", 5)
