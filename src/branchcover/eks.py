@@ -468,7 +468,7 @@ def _factor_two_cycles_rng(tau, rng):
     for _ in range(64 * n):
         gamma = random_in_class(full, dom, rng)
         sigma = compose(tau, gamma.inverse())
-        if len(sigma.nontrivial_cycles()) == 1 and len(sigma.support()) == n:
+        if len(sigma.cycles()) == 1:
             return sigma, gamma
     return _factor_backtrack(tau)
 
@@ -510,7 +510,7 @@ def _factor_backtrack(tau):
                 return None
             gamma = from_cycles([tuple(seq)], dom)
             sigma = compose(tau, gamma.inverse())
-            if len(sigma.nontrivial_cycles()) == 1 and len(sigma.support()) == n:
+            if len(sigma.cycles()) == 1:
                 return sigma, gamma
             return None
         for v in dom:

@@ -13,6 +13,16 @@ Composition convention, fixed once for the whole package:
 Every construction in the package is verified by direct composition, so a
 single wrong convention would fail loudly; tests anchor the convention on
 a known golden product.
+
+A permutation is validated once, where it enters: ``Permutation(...)``,
+``Permutation.from_mapping``, ``identity`` and ``from_cycles`` /
+``parse_cycles`` check the domain, and that the labels form a bijection of
+it.  Derived results (``compose``, ``inverse``, ``conjugate``, and
+``from_cycles`` once its cycles have passed) are built by
+``Permutation._of`` without a second check: they are bijections of an
+already validated domain by construction.  Their arithmetic runs on
+0-based index tables; for a domain other than 1..d the label-to-index map
+is built on first use and handed on to results on the same domain.
 """
 
 from __future__ import annotations
@@ -39,6 +49,11 @@ def _as_domain(domain: Iterable[int] | int) -> tuple[int, ...]:
     return dom
 
 
+def _is_standard(dom: tuple[int, ...]) -> bool:
+    """Whether a validated domain is exactly 1..len(dom)."""
+    return not dom or (dom[0] == 1 and dom[-1] == len(dom))
+
+
 class Permutation:
     """A bijection of a finite sorted label set, stored as an image table."""
 
@@ -54,24 +69,52 @@ class Permutation:
             raise PermError("image table length does not match domain size")
         if sorted(imgs) != list(dom):
             raise PermError("image table is not a bijection of the domain")
-        self.domain = dom
-        self.images = imgs
-        n = len(dom)
-        self._std = n == 0 or (dom[0] == 1 and dom[-1] == n)
-        self._pos = None if self._std else {x: i for i, x in enumerate(dom)}
+        self._fill(imgs, dom, None)
+
+    def _fill(self, images: tuple[int, ...], domain: tuple[int, ...], pos) -> None:
+        self.domain = domain
+        self.images = images
+        self._std = _is_standard(domain)
+        self._pos = pos
         self._cycles = None
         self._hash = None
+
+    @classmethod
+    def _of(cls, images: tuple[int, ...], domain: tuple[int, ...], pos=None) -> Permutation:
+        """A derived result, built without checks: ``domain`` is already
+        validated and ``images`` is a bijection of it by construction.
+        ``pos`` may pass on the label index of a permutation on the same
+        domain."""
+        p = object.__new__(cls)
+        p._fill(images, domain, pos)
+        return p
+
+    def _positions(self) -> dict[int, int]:
+        """Label -> 0-based index, built on first use (non-1..d domains only)."""
+        if self._pos is None:
+            self._pos = {x: i for i, x in enumerate(self.domain)}
+        return self._pos
+
+    def _index_table(self) -> list[int]:
+        """The image table on 0-based indices."""
+        if self._std:
+            return [y - 1 for y in self.images]
+        pos = self._positions()
+        return [pos[y] for y in self.images]
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def identity(domain: Iterable[int] | int) -> Permutation:
         dom = _as_domain(domain)
-        return Permutation(dom, dom)
+        return Permutation._of(dom, dom)
 
     @staticmethod
     def from_mapping(mapping: dict[int, int], domain: Iterable[int] | int) -> Permutation:
         dom = _as_domain(domain)
+        outside = set(mapping).difference(dom)
+        if outside:
+            raise PermError(f"mapping keys {sorted(outside)} are not in the domain")
         return Permutation(tuple(mapping.get(x, x) for x in dom), dom)
 
     # -- basic queries ---------------------------------------------------------
@@ -83,7 +126,7 @@ class Permutation:
     def __call__(self, x: int) -> int:
         if self._std:
             return self.images[x - 1]
-        return self.images[self._pos[x]]
+        return self.images[self._positions()[x]]
 
     def is_identity(self) -> bool:
         return self.images == self.domain
@@ -92,18 +135,20 @@ class Permutation:
         """All cycles, trivial ones included; each starts at its smallest
         label and cycles are ordered by smallest label."""
         if self._cycles is None:
-            seen = set()
+            dom = self.domain
+            nxt = self._index_table()
+            seen = bytearray(len(dom))
             out = []
-            for start in self.domain:
-                if start in seen:
+            for start in range(len(dom)):
+                if seen[start]:
                     continue
-                cyc = [start]
-                seen.add(start)
-                x = self(start)
-                while x != start:
-                    cyc.append(x)
-                    seen.add(x)
-                    x = self(x)
+                seen[start] = 1
+                cyc = [dom[start]]
+                i = nxt[start]
+                while i != start:
+                    seen[i] = 1
+                    cyc.append(dom[i])
+                    i = nxt[i]
                 out.append(tuple(cyc))
             self._cycles = tuple(out)
         return self._cycles
@@ -119,14 +164,17 @@ class Permutation:
         return len(self.domain) - len(self.cycles())
 
     def support(self) -> tuple[int, ...]:
-        return tuple(x for x in self.domain if self(x) != x)
+        return tuple(x for x, y in zip(self.domain, self.images) if x != y)
 
     def fixed_points(self) -> tuple[int, ...]:
-        return tuple(x for x in self.domain if self(x) == x)
+        return tuple(x for x, y in zip(self.domain, self.images) if x == y)
 
     def inverse(self) -> Permutation:
-        inv = {y: x for x, y in zip(self.domain, self.images)}
-        return Permutation(tuple(inv[x] for x in self.domain), self.domain)
+        dom = self.domain
+        inv = [0] * len(dom)
+        for x, i in zip(dom, self._index_table()):
+            inv[i] = x
+        return Permutation._of(tuple(inv), dom, self._pos)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -165,16 +213,17 @@ def compose(*perms: Permutation) -> Permutation:
     for p in perms[1:]:
         if p.domain != first.domain:
             raise PermError("degree mismatch: factors act on different domains")
+    cur = first.images
     if first._std:
-        cur = list(first.images)
         for p in perms[1:]:
             imgs = p.images
             cur = [imgs[x - 1] for x in cur]
-        return Permutation(tuple(cur), first.domain)
-    cur = list(first.images)
-    for p in perms[1:]:
-        cur = [p(x) for x in cur]
-    return Permutation(tuple(cur), first.domain)
+    else:
+        pos = first._positions()
+        for p in perms[1:]:
+            imgs = p.images
+            cur = [imgs[pos[x]] for x in cur]
+    return Permutation._of(tuple(cur), first.domain, first._pos)
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -185,8 +234,7 @@ def conjugate(p: Permutation, by: Permutation) -> Permutation:
     """by * p * by^-1 under the package convention (relabels p by by^-1)."""
     if p.domain != by.domain:
         raise PermError("degree mismatch in conjugation")
-    inv = by.inverse()
-    return Permutation(tuple(inv(p(by(x))) for x in p.domain), p.domain)
+    return compose(by, p, by.inverse())
 
 
 def conjugator_matching(p: Permutation, q: Permutation) -> Permutation:
@@ -219,20 +267,30 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def from_cycles(
     cycles: Iterable[Sequence[int]], domain: Iterable[int] | int
 ) -> Permutation:
-    """Build a permutation from disjoint cycles; unmentioned labels are fixed."""
+    """Build a permutation from disjoint cycles; unmentioned labels are fixed.
+
+    Each label must lie in the domain and appear at most once in all the
+    cycles together, which makes the result a bijection without a further
+    check."""
     dom = _as_domain(domain)
-    labels = set(dom)
-    mapping: dict[int, int] = {}
+    if _is_standard(dom):
+        pos = None
+        labels = range(1, len(dom) + 1)
+    else:
+        pos = labels = {x: i for i, x in enumerate(dom)}
+    images = list(dom)
+    seen = bytearray(len(dom))
     for cyc in cycles:
-        cyc = list(cyc)
-        for x in cyc:
+        cyc = tuple(cyc)
+        for x, y in zip(cyc, cyc[1:] + cyc[:1]):
             if x not in labels:
                 raise PermError(f"label {x} out of range for domain")
-            if x in mapping:
-                raise PermError(f"label {x} repeated across cycles")
-        for i, x in enumerate(cyc):
-            mapping[x] = cyc[(i + 1) % len(cyc)]
-    return Permutation.from_mapping(mapping, dom)
+            i = x - 1 if pos is None else pos[x]
+            if seen[i]:
+                raise PermError(f"label {x} repeated in the cycles")
+            seen[i] = 1
+            images[i] = y
+    return Permutation._of(tuple(images), dom, pos)
 
 
 def parse_cycles(text: str, domain: Iterable[int] | int) -> Permutation:
@@ -395,8 +453,7 @@ def embed(p_sub: Permutation, ambient: Iterable[int] | int) -> Permutation:
     dom = _as_domain(ambient)
     if not set(p_sub.domain).issubset(dom):
         raise PermError("subset labels out of range for the ambient domain")
-    mapping = dict(zip(p_sub.domain, p_sub.images))
-    return Permutation.from_mapping(mapping, dom)
+    return from_cycles(p_sub.nontrivial_cycles(), dom)
 
 
 def insertion_recombine(lam: Permutation, downstairs: Permutation, keep) -> Permutation:

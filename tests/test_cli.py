@@ -274,6 +274,16 @@ def test_unreadable_certificate_is_a_parse_error(tmp_path, capsys, kind):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+def test_verify_cycle_repeating_a_label_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "cert"
+    path.write_text(
+        DECOMPOSABLE_CERT.replace("u[1]: (1 2 3 4 5 6 7 8 9)", "u[1]: (1 2 1 3 4 5 6 7 8 9)")
+    )
+    code, out, err = run(capsys, "verify", "--certificate", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("parse error: ") and "label 1 repeated" in err
+
+
 def test_single_branch_negative_degree(capsys):
     code, out, err = run(capsys, "single-branch", "--degree", "-3")
     assert code == 2 and out == ""

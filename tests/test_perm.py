@@ -20,6 +20,7 @@ from branchcover.perm import (
     insertion_recombine,
     parse_cycles,
     project,
+    random_in_class,
     sqrt_odd_cycle,
 )
 
@@ -39,6 +40,10 @@ def test_from_cycles_identity_and_errors():
         from_cycles([(1, 9)], 3)
     with pytest.raises(PermError):
         parse_cycles("(1 2", 3)
+    with pytest.raises(PermError, match="label 1 repeated"):
+        parse_cycles("(1 2 1)", 3)
+    with pytest.raises(PermError, match="label 1 repeated"):
+        from_cycles([(1, 2, 3, 1, 2)], 3)
 
 
 def test_cycle_string_round_trip():
@@ -242,6 +247,60 @@ def test_bijection_enforced():
         Permutation((1, 1, 3))
     with pytest.raises(PermError):
         Permutation((1, 2), domain=(1, 3, 5))
+    with pytest.raises(PermError):
+        Permutation.from_mapping({5: 1}, 3)
+
+
+def _reference_cycles(p):
+    step = dict(zip(p.domain, p.images))
+    seen, out = set(), []
+    for start in p.domain:
+        if start in seen:
+            continue
+        cyc, x = [start], step[start]
+        seen.add(start)
+        while x != start:
+            cyc.append(x)
+            seen.add(x)
+            x = step[x]
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
+def test_derived_permutations_pass_the_public_validator():
+    # compose, inverse, conjugate, ... build their results unchecked; each
+    # must still be a bijection the public constructor accepts, with the
+    # cycles and point images of its table.
+    rng = random.Random(23)
+    domains = [tuple(range(1, d + 1)) for d in (1, 2, 5, 9, 12)]
+    domains += [(2, 5, 7, 11), (1, 3, 4, 8, 9, 10, 12), (12,)]
+
+    def random_perm(dom):
+        imgs = list(dom)
+        rng.shuffle(imgs)
+        return Permutation(tuple(imgs), dom)
+
+    for dom in domains:
+        for _ in range(25):
+            p, q = random_perm(dom), random_perm(dom)
+            keep = sorted(rng.sample(dom, rng.randint(1, len(dom))))
+            derived = [
+                compose(p, q),
+                compose(p, q, p.inverse()),
+                compose(p.inverse(), q).inverse(),
+                p.inverse(),
+                conjugate(p, q),
+                project(p, keep),
+                embed(project(p, keep), dom),
+                embed(p, 12),
+                canonical_in_class(p.cycle_type(), dom),
+                random_in_class(p.cycle_type(), dom, rng),
+                conjugator_matching(p, conjugate(p, q)),
+            ]
+            for r in derived:
+                assert Permutation(r.images, r.domain) == r
+                assert r.cycles() == _reference_cycles(r)
+                assert [r(x) for x in r.domain] == list(r.images)
 
 
 def test_canonical_in_class():
