@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .construct import admissible, parse_datum, single_branch_verdict
 from .eks import EksError
@@ -82,22 +83,22 @@ def _cmd_check_table(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    lines = []
+    rows = census(args.degree, args.max_s, args.seed)  # checks the caps
     counts = {"constructed": 0, "boundary": 0, "inadmissible": 0}
-    for row in census(args.degree, args.max_s, args.seed):
-        counts[row.classification] += 1
-        line = f"{row.datum}\t{row.nu}\t{row.classification}\t{row.millis:.2f}"
-        lines.append(line)
-        if not args.quiet:
-            print(line)
+    # opened before the first datum is built, so a bad path fails at once
+    with open(args.out, "w", newline="\n") if args.out else nullcontext() as fh:
+        for row in rows:
+            counts[row.classification] += 1
+            line = f"{row.datum}\t{row.nu}\t{row.classification}\t{row.millis:.2f}"
+            if fh is not None:
+                fh.write(line + "\n")
+            if not args.quiet:
+                print(line)
     summary = (
         f"census d={args.degree} max_s={args.max_s}: "
         f"{counts['constructed']} constructed, {counts['boundary']} boundary, "
         f"{counts['inadmissible']} inadmissible"
     )
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
     print(summary)
     return EXIT_OK
 

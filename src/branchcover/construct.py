@@ -26,6 +26,14 @@ checks that `python -O` keeps: `two_datum_construct` and
 type, transitivity and primitivity; `full_cycle_datum_construct` checks the
 representation relation.  The golden table passes the same output check
 when it is loaded.  A failed check raises `EksError`.
+
+Data with many branch points share most of their reduction subtrees.
+`fundamental_construct` and `reduce_collection` take an optional `memo`, a
+dict the caller owns (`oracle.census` makes one per call): the factor pair
+of `two_datum_construct` and of the `product_defect_*` step, each a pure
+function of its two partitions and the seed, is then built once per memo
+and shared.  A shared pair passed its own output check when it was built;
+every datum still runs its own `fundamental_construct` check.
 """
 
 from __future__ import annotations
@@ -410,6 +418,23 @@ def _check_construction(sigmas, parts, d):
 # -- reduction and induction -----------------------------------------------------------
 
 
+def _factor_pair(memo, step, build, A, B, seed):
+    """The first two outputs of ``build(A, B, seed)``: a factor pair.
+
+    With ``memo`` None the pair is built.  Otherwise ``memo`` is a dict that
+    the caller owns and drops; the pair is built once per key (step, A, B,
+    seed) and shared, so only the partitions and the seed decide it.  Only
+    pairs are stored, never a trace.
+    """
+    if memo is None:
+        return build(A, B, seed)[:2]
+    key = (step, A, B, seed)
+    pair = memo.get(key)
+    if pair is None:
+        pair = memo[key] = build(A, B, seed)[:2]
+    return pair
+
+
 @dataclass(frozen=True)
 class ReductionStep:
     reduced: BranchDatum
@@ -418,9 +443,10 @@ class ReductionStep:
     merged: tuple[int, int]
 
 
-def reduce_collection(datum: BranchDatum, seed: int = 0) -> ReductionStep:
+def reduce_collection(datum: BranchDatum, seed: int = 0, *, memo=None) -> ReductionStep:
     """Merge two partitions of the datum into the cycle type of a product
-    with controlled defect, preserving the admissibility gate."""
+    with controlled defect, preserving the admissibility gate.  ``memo``:
+    see `_factor_pair`."""
     _require_constructible(datum.partitions)
     if len(datum.partitions) < 3:
         raise InadmissibleError("reduction needs at least three partitions")
@@ -441,9 +467,9 @@ def reduce_collection(datum: BranchDatum, seed: int = 0) -> ReductionStep:
     q = (datum.nu - (d - 1)) // 2
     r = 2 * q - tail_nu
     if r <= 0:
-        gamma1, gamma2 = product_defect_exact(A, B, seed)
+        gamma1, gamma2 = _factor_pair(memo, "exact", product_defect_exact, A, B, seed)
     else:
-        gamma1, gamma2 = product_defect_reduced(A, B, seed)
+        gamma1, gamma2 = _factor_pair(memo, "reduced", product_defect_reduced, A, B, seed)
     D = compose(gamma1, gamma2).cycle_type()
     reduced = BranchDatum(
         base=datum.base,
@@ -472,18 +498,20 @@ def _reorder_factors(sigmas: list[Permutation], targets: list[int]) -> list[Perm
     return [p for _, p in pairs]
 
 
-def fundamental_construct(datum: BranchDatum, seed: int = 0) -> tuple[Permutation, ...]:
+def fundamental_construct(
+    datum: BranchDatum, seed: int = 0, *, memo=None
+) -> tuple[Permutation, ...]:
     """Permutations sigma_i, one per partition in order, whose product is a
-    (d-2)-cycle and whose span is transitive and primitive."""
+    (d-2)-cycle and whose span is transitive and primitive.  ``memo``: see
+    `_factor_pair`."""
     _require_constructible(datum.partitions)
     d = datum.degree
     parts = datum.partitions
     if len(parts) == 2:
-        lam, beta, _ = two_datum_construct(parts[0], parts[1], seed)
-        return lam, beta
+        return _factor_pair(memo, "pair", two_datum_construct, parts[0], parts[1], seed)
 
-    step = reduce_collection(datum, seed)
-    sub = fundamental_construct(step.reduced, seed)
+    step = reduce_collection(datum, seed, memo=memo)
+    sub = fundamental_construct(step.reduced, seed, memo=memo)
     sigma_hat = sub[0]
     lam_hat = conjugator_matching(compose(step.gamma1, step.gamma2), sigma_hat)
     g1 = conjugate(step.gamma1, lam_hat)

@@ -143,6 +143,10 @@ def partitions_of(n: int) -> list[Partition]:
 
 @dataclass(frozen=True)
 class CensusRow:
+    """One datum of a census.  ``millis`` is the wall time of this row's own
+    work: a datum whose sub-constructions an earlier row already built reuses
+    their factor pairs and reads lower."""
+
     datum: str
     nu: int
     classification: str
@@ -154,11 +158,22 @@ def census(
 ) -> Iterator[CensusRow]:
     """Realize and verify every admissible datum of degree d with at most
     max_s branch points; boundary and inadmissible data are classified
-    without being attempted."""
+    without being attempted.
+
+    The caps are checked at the call, before any row.  The data of one call
+    share the factor pairs of identical sub-constructions (`construct`'s
+    ``memo``) through one dict that lives as long as the returned iterator,
+    so a second call builds everything again.  Each datum is still checked
+    and verified on its own.
+    """
     if d % 2 == 0 or not 3 <= d <= 13:
         raise InadmissibleError("census caps: d odd, from 3 to 13")
     if not 1 <= max_s <= 4:
         raise InadmissibleError("census caps: 1 to 4 branch points")
+    return _census_rows(d, max_s, seed, progress, memo={})
+
+
+def _census_rows(d, max_s, seed, progress, memo):
     usable = [p for p in partitions_of(d) if not p.is_trivial()]
     for s in range(1, max_s + 1):
         for combo in combinations_with_replacement(usable, s):
@@ -171,7 +186,8 @@ def census(
             elif kind == "boundary":
                 cls = "boundary"
             else:
-                realize_rp2(datum, seed)  # raises VerificationError unless verified
+                # raises VerificationError unless verified
+                realize_rp2(datum, seed, memo=memo)
                 cls = "constructed"
             ms = (time.perf_counter() - start) * 1000.0
             row = CensusRow(datum=str(datum), nu=nu, classification=cls, millis=ms)

@@ -70,15 +70,19 @@ def euler_characteristic(base: str, d: int, nu: int) -> int:
     return d * _CHI_BASE[base] - nu
 
 
-def realize_rp2(datum: BranchDatum, seed: int = 0) -> HurwitzCertificate:
-    """Certificate for an indecomposable covering of the projective plane."""
+def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCertificate:
+    """Certificate for an indecomposable covering of the projective plane.
+
+    ``memo`` is passed on to `fundamental_construct`: a dict the caller owns
+    in which identical sub-constructions share their factor pairs.
+    """
     if datum.base != "rp2":
         raise InadmissibleError("datum is not over the projective plane")
     d = datum.degree
     if Partition([d]) in datum.partitions:
         a, us = full_cycle_datum_construct(datum, seed)
     else:
-        us = fundamental_construct(datum, seed)
+        us = fundamental_construct(datum, seed, memo=memo)
         a = sqrt_odd_cycle(compose(*us)).inverse()
     cert = HurwitzCertificate(
         base="rp2", degree=d, datum=datum, a_image=a, u_images=tuple(us)

@@ -250,6 +250,32 @@ def test_census_cli(capsys):
     assert code == 2
 
 
+def test_census_out_streams_the_rows(tmp_path, capsys):
+    out_file = tmp_path / "census.tsv"
+    code, out, _ = run(
+        capsys, "census", "--degree", "5", "--max-s", "2", "--out", str(out_file)
+    )
+    assert code == 0
+    rows = out.splitlines()[:-1]
+    assert out_file.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def test_census_unwritable_out_fails_before_any_datum(monkeypatch, tmp_path, capsys):
+    calls = []
+    original = oracle.realize_rp2
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "realize_rp2", counting)
+    missing = tmp_path / "missing" / "x.tsv"
+    code, out, err = run(capsys, "census", "--degree", "7", "--max-s", "3", "--out", str(missing))
+    assert code == 3 and out == ""
+    assert err.startswith("parse error:")
+    assert calls == []
+
+
 def test_single_branch_cli(capsys):
     code, out, _ = run(capsys, "single-branch", "--degree", "9")
     assert code == 0 and out.strip() == "decomposable"

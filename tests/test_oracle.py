@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from branchcover import construct
+from branchcover.construct import parse_datum
 from branchcover.errors import InadmissibleError
 from branchcover.groups import is_primitive, is_transitive
 from branchcover.oracle import (
@@ -14,6 +16,7 @@ from branchcover.oracle import (
     verify_appendix_table,
 )
 from branchcover.perm import Partition, Permutation, compose, parse_cycles
+from branchcover.realize import certificate_to_text, realize_rp2
 
 P = Partition
 
@@ -172,3 +175,33 @@ def test_census_caps():
         list(census(15, 2))
     with pytest.raises(InadmissibleError):
         list(census(5, 5))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shared_memo_keeps_certificates_byte_identical(seed):
+    """One memo shared across a whole census sweep changes no certificate."""
+    rows = census(7, 3)
+    data = [parse_datum(r.datum, "rp2") for r in rows if r.classification == "constructed"]
+    shared = {}
+    for datum in data:
+        alone = certificate_to_text(realize_rp2(datum, seed))
+        assert certificate_to_text(realize_rp2(datum, seed, memo=shared)) == alone
+    assert shared  # the sweep went through the memo
+
+
+def test_census_shares_pairs_within_one_call_only(monkeypatch):
+    calls = []
+    original = construct.two_datum_construct
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "two_datum_construct", counting)
+    first = sum(row.classification == "constructed" for row in census(7, 3))
+    per_call = len(calls)
+    calls.clear()
+    assert sum(row.classification == "constructed" for row in census(7, 3)) == first
+    assert len(calls) == per_call
+    # within a call each distinct pair is built once
+    assert 0 < per_call == len(set(calls)) < first

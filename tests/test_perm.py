@@ -251,6 +251,21 @@ def test_bijection_enforced():
         Permutation.from_mapping({5: 1}, 3)
 
 
+@pytest.mark.parametrize(
+    "perm, label",
+    [
+        (Permutation((2, 1, 3)), 0),
+        (Permutation((2, 1, 3)), -1),
+        (Permutation((2, 1, 3)), 4),
+        (Permutation((4, 2, 6), domain=(2, 4, 6)), 3),
+    ],
+)
+def test_call_outside_the_domain_raises(perm, label):
+    """A 1..d domain must not wrap a label below 1 around to the end."""
+    with pytest.raises(PermError):
+        perm(label)
+
+
 def _reference_cycles(p):
     step = dict(zip(p.domain, p.images))
     seen, out = set(), []
