@@ -167,15 +167,15 @@ def _anchor_ok(beta: Permutation, anchor) -> bool:
     return False
 
 
-def _search_merge(lam, target, anchor, rng, cycle_goal=1):
+def _search_merge(lam, target, anchor, rng):
     budget = 256 + 64 * lam.degree
     for _ in range(budget):
         beta = _random_in_class_anchored(target, lam.domain, anchor, rng)
-        if len(compose(lam, beta).cycles()) == cycle_goal:
+        if len(compose(lam, beta).cycles()) == 1:
             return beta
     if lam.degree <= 11:
         for beta in all_in_class(target, lam.domain):
-            if _anchor_ok(beta, anchor) and len(compose(lam, beta).cycles()) == cycle_goal:
+            if _anchor_ok(beta, anchor) and len(compose(lam, beta).cycles()) == 1:
                 return beta
     return None
 

@@ -4,6 +4,11 @@ The block machinery is the classical minimal-block closure: the finest
 generator-stable equivalence identifying a seed pair.  Its classes form a
 block system, and scanning the pairs (first point, x) decides primitivity
 with an explicit witness when the group is imprimitive.
+
+Every question is answered from one representation: the 0-based forward
+image table of each generator (`Permutation._index_table`).  The orbit walk
+and the closure both run on it, and no inverse table is built.  An entry
+that needs a transitive group raises `IntransitiveError` for any other.
 """
 
 from __future__ import annotations
@@ -43,24 +48,25 @@ def _check_gens(gens: Sequence[Permutation]) -> tuple[int, ...]:
 
 
 def orbits(gens: Sequence[Permutation]) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of the points under the generated group."""
+    """Orbit partition of the points under the generated group, as sorted
+    label tuples ordered by their smallest label."""
     dom = _check_gens(gens)
-    seen: set[int] = set()
+    tables = [g._index_table() for g in gens]
+    seen = bytearray(len(dom))
     out = []
-    for start in dom:
-        if start in seen:
+    for start in range(len(dom)):
+        if seen[start]:
             continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = g(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        seen |= orbit
-        out.append(tuple(sorted(orbit)))
+        seen[start] = 1
+        orbit = [start]
+        for x in orbit:  # the list grows while it is walked
+            for t in tables:
+                y = t[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        orbit.sort()
+        out.append(tuple(dom[i] for i in orbit))
     return tuple(out)
 
 
@@ -68,30 +74,20 @@ def is_transitive(gens: Sequence[Permutation]) -> bool:
     return len(orbits(gens)) == 1
 
 
-def _image_tables(gens: Sequence[Permutation], dom: tuple[int, ...]) -> list[list[int]]:
-    """0-based image tables over the positions of ``dom``: one per generator,
-    then one per inverse."""
-    if dom[0] == 1 and dom[-1] == len(dom):
-        fwd = [[y - 1 for y in g.images] for g in gens]
-    else:
-        pos = {x: i for i, x in enumerate(dom)}
-        fwd = [[pos[y] for y in g.images] for g in gens]
-    tables = list(fwd)
-    for t in fwd:
-        inv = [0] * len(t)
-        for i, j in enumerate(t):
-            inv[j] = i
-        tables.append(inv)
-    return tables
-
-
 def _block_closure(tables, dom: tuple[int, ...], a: int, b: int):
     """Classes of the finest generator-stable equivalence with a ~ b.
 
-    Atkinson's closure on one union-find list over the image ``tables``;
+    Atkinson's closure on one union-find list over ``tables``, the 0-based
+    forward image tables of the generators (`Permutation._index_table`);
     ``a`` and ``b`` are 0-based positions in ``dom``.  Returns None when
     everything falls into one class (stopping at the (n-1)-th merge), else
     the classes as sorted label tuples ordered by their smallest label.
+
+    No inverse tables are needed: an equivalence stable under g is stable
+    under every power of g, and g has finite order k, so it is stable under
+    g^-1 = g^(k-1).  The finest equivalence stable under the generators is
+    therefore the finest one stable under the group, and the verdict and
+    the classes are those of a closure over generators and inverses.
     """
     n = len(dom)
     if n == 2:
@@ -133,16 +129,12 @@ def minimal_block(gens: Sequence[Permutation], seed_pair: tuple[int, int]) -> tu
     if a not in dom or b not in dom:
         raise GroupError("seed points outside the domain")
     if not is_transitive(gens):
-        raise GroupError("minimal blocks are defined for transitive groups only")
-    classes = _block_closure(
-        _image_tables(gens, dom), dom, dom.index(a), dom.index(b)
-    )
+        raise IntransitiveError("minimal blocks are defined for transitive groups only")
+    tables = [g._index_table() for g in gens]
+    classes = _block_closure(tables, dom, dom.index(a), dom.index(b))
     if classes is None:
         return dom
-    for cls in classes:
-        if a in cls:
-            return cls
-    raise AssertionError("unreachable")
+    return next(c for c in classes if a in c)
 
 
 def is_primitive(
@@ -155,7 +147,7 @@ def is_primitive(
         raise GroupError("primitivity needs at least two points")
     if not is_transitive(gens):
         raise IntransitiveError("primitivity is defined for transitive groups only")
-    tables = _image_tables(gens, dom)
+    tables = [g._index_table() for g in gens]
     for x in range(1, d):
         classes = _block_closure(tables, dom, 0, x)
         if classes is None:
@@ -194,7 +186,7 @@ def primitivity_fast_path(gens: Sequence[Permutation], l: int) -> bool | None:
     dom = _check_gens(gens)
     d = len(dom)
     if not is_transitive(gens):
-        raise GroupError("fast path needs a transitive generator set")
+        raise IntransitiveError("fast path needs a transitive generator set")
     if l < 1 or l > d:
         return None
     if gcd(l, d) != 1:
@@ -212,11 +204,8 @@ def primitivity_fast_path(gens: Sequence[Permutation], l: int) -> bool | None:
 def decomposability_verdict(
     gens: Sequence[Permutation],
 ) -> tuple[str, BlockSystem | None]:
-    """'indecomposable' iff the (transitive) monodromy group is primitive."""
-    try:
-        prim, witness = is_primitive(gens)
-    except IntransitiveError as exc:
-        raise GroupError(
-            "decomposability verdict undefined: covering surface disconnected"
-        ) from exc
+    """'indecomposable' iff the monodromy group is primitive; a disconnected
+    covering surface (an intransitive group) has no verdict and raises
+    `IntransitiveError`."""
+    prim, witness = is_primitive(gens)
     return ("indecomposable", None) if prim else ("decomposable", witness)

@@ -153,9 +153,7 @@ class CensusRow:
     millis: float
 
 
-def census(
-    d: int, max_s: int, seed: int = 0, progress=None
-) -> Iterator[CensusRow]:
+def census(d: int, max_s: int, seed: int = 0) -> Iterator[CensusRow]:
     """Realize and verify every admissible datum of degree d with at most
     max_s branch points; boundary and inadmissible data are classified
     without being attempted.
@@ -170,10 +168,11 @@ def census(
         raise InadmissibleError("census caps: d odd, from 3 to 13")
     if not 1 <= max_s <= 4:
         raise InadmissibleError("census caps: 1 to 4 branch points")
-    return _census_rows(d, max_s, seed, progress, memo={})
+    return _census_rows(d, max_s, seed)
 
 
-def _census_rows(d, max_s, seed, progress, memo):
+def _census_rows(d, max_s, seed):
+    memo: dict = {}
     usable = [p for p in partitions_of(d) if not p.is_trivial()]
     for s in range(1, max_s + 1):
         for combo in combinations_with_replacement(usable, s):
@@ -190,7 +189,4 @@ def _census_rows(d, max_s, seed, progress, memo):
                 realize_rp2(datum, seed, memo=memo)
                 cls = "constructed"
             ms = (time.perf_counter() - start) * 1000.0
-            row = CensusRow(datum=str(datum), nu=nu, classification=cls, millis=ms)
-            if progress is not None:
-                progress(row)
-            yield row
+            yield CensusRow(datum=str(datum), nu=nu, classification=cls, millis=ms)

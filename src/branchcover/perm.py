@@ -124,15 +124,16 @@ class Permutation:
         return len(self.domain)
 
     def __call__(self, x: int) -> int:
-        """The image of the label x; PermError when x is not in the domain."""
-        try:
-            if not self._std:
-                return self.images[self._positions()[x]]
-            if x > 0:  # a label below 1 would index from the end
-                return self.images[x - 1]
-        except (IndexError, KeyError):
-            pass
-        raise PermError(f"label {x} is not in the domain")
+        """The image of the label x; PermError unless x is an int of the domain."""
+        if type(x) is int:
+            try:
+                if not self._std:
+                    return self.images[self._positions()[x]]
+                if x > 0:  # a label below 1 would index from the end
+                    return self.images[x - 1]
+            except (IndexError, KeyError):
+                pass
+        raise PermError(f"label {x!r} is not in the domain")
 
     def is_identity(self) -> bool:
         return self.images == self.domain

@@ -6,6 +6,8 @@ import pytest
 
 from branchcover.groups import (
     GroupError,
+    IntransitiveError,
+    _block_closure,
     decomposability_verdict,
     is_primitive,
     is_transitive,
@@ -80,6 +82,100 @@ def test_is_primitive_preconditions():
         is_primitive(gens("(1 2)", d=4))
     with pytest.raises(GroupError):
         is_primitive([identity(1)])
+
+
+def test_every_entry_raises_intransitive_error_for_an_intransitive_span():
+    gs = gens("(1 2)", d=4)
+    with pytest.raises(IntransitiveError):
+        is_primitive(gs)
+    with pytest.raises(IntransitiveError):
+        minimal_block(gs, (1, 2))
+    with pytest.raises(IntransitiveError):
+        primitivity_fast_path(gs, 3)
+    with pytest.raises(IntransitiveError):
+        decomposability_verdict(gs)
+
+
+def _reference_classes(gs, a, b):
+    """The finest equivalence with a ~ b that is closed under every generator
+    and its inverse, grown naively to a fixpoint; None when it is one class."""
+    dom = gs[0].domain
+    cls = {x: x for x in dom}
+    maps = list(gs) + [g.inverse() for g in gs]
+
+    def merge(u, v):
+        old, new = cls[v], cls[u]
+        for x in dom:
+            if cls[x] == old:
+                cls[x] = new
+
+    merge(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for g in maps:
+            for x in dom:
+                for y in dom:
+                    if cls[x] == cls[y] and cls[g(x)] != cls[g(y)]:
+                        merge(g(x), g(y))
+                        changed = True
+    classes = {}
+    for x in dom:
+        classes.setdefault(cls[x], []).append(x)
+    if len(classes) == 1:
+        return None
+    return tuple(sorted(tuple(sorted(c)) for c in classes.values()))
+
+
+def _random_gens(rng, dom, k):
+    """k random permutations of dom; about half the time, when len(dom) has
+    a proper divisor m, all of them keep one random system of m-blocks."""
+    d = len(dom)
+    sizes = [m for m in range(2, d) if d % m == 0]
+    if not sizes or rng.random() < 0.5:
+        return [Permutation(tuple(rng.sample(dom, d)), dom) for _ in range(k)]
+    m = rng.choice(sizes)
+    shuffled = rng.sample(dom, d)
+    blocks = [shuffled[i : i + m] for i in range(0, d, m)]
+    out = []
+    for _ in range(k):
+        mapping = {}
+        for src, dst in zip(blocks, rng.sample(blocks, len(blocks))):
+            mapping.update(zip(src, rng.sample(dst, m)))
+        out.append(Permutation.from_mapping(mapping, dom))
+    return out
+
+
+@pytest.mark.parametrize("gapped", [False, True])
+def test_forward_closure_matches_the_two_sided_reference(gapped):
+    """`_block_closure` on forward tables alone gives the classes of the
+    closure under generators and inverses, and `is_primitive`'s witness is
+    the reference system of the first x in scan order."""
+    primes = (2, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    rng = random.Random(29 if gapped else 23)
+    verdicts = {True: 0, False: 0}
+    for _ in range(200):
+        d = rng.randint(2, 10)
+        dom = list(primes[:d] if gapped else range(1, d + 1))
+        gs = _random_gens(rng, dom, rng.randint(1, 3))
+        tables = [g._index_table() for g in gs]
+        i, j = rng.sample(range(d), 2)
+        ref = _reference_classes(gs, dom[i], dom[j])
+        assert _block_closure(tables, tuple(dom), i, j) == ref
+        if d < 3 or not is_transitive(gs):
+            continue
+        expected = None
+        for x in dom[1:]:
+            expected = _reference_classes(gs, dom[0], x)
+            if expected is not None:
+                break
+        prim, witness = is_primitive(gs)
+        verdicts[prim] += 1
+        assert prim == (expected is None)
+        if not prim:
+            assert witness.blocks == expected
+            assert witness.block_size == len(expected[0])
+    assert min(verdicts.values()) >= 20
 
 
 def test_primitivity_fast_path_examples():

@@ -258,10 +258,15 @@ def test_bijection_enforced():
         (Permutation((2, 1, 3)), -1),
         (Permutation((2, 1, 3)), 4),
         (Permutation((4, 2, 6), domain=(2, 4, 6)), 3),
+        (Permutation((2, 1, 3)), True),
+        (Permutation((2, 1, 3)), 1.5),
+        (Permutation((2, 1, 3)), 2.0),
+        (Permutation((4, 2, 6), domain=(2, 4, 6)), 4.0),
     ],
 )
 def test_call_outside_the_domain_raises(perm, label):
-    """A 1..d domain must not wrap a label below 1 around to the end."""
+    """A 1..d domain must not wrap a label below 1 around to the end, and a
+    label must be exactly an int: a bool or a float is not one."""
     with pytest.raises(PermError):
         perm(label)
 
