@@ -29,11 +29,18 @@ when it is loaded.  A failed check raises `EksError`.
 
 Data with many branch points share most of their reduction subtrees.
 `fundamental_construct` and `reduce_collection` take an optional `memo`, a
-dict the caller owns (`oracle.census` makes one per call): the factor pair
-of `two_datum_construct` and of the `product_defect_*` step, each a pure
-function of its two partitions and the seed, is then built once per memo
-and shared.  A shared pair passed its own output check when it was built;
-every datum still runs its own `fundamental_construct` check.
+dict the caller owns (`oracle.census` makes one per call).  Every step that
+is a pure function of its inputs then goes through `_shared` and runs once
+per distinct input: the factor pair of `two_datum_construct` and of the
+`product_defect_*` step (with its product and that product's cycle type,
+the merged partition), and the relabelling of a merged pair onto the
+reduced datum's first factor (the conjugator and the two conjugates).  A
+shared pair passed its own output check when it was built; every datum
+still runs its own `fundamental_construct` check.
+
+The construction is over the projective plane: each entry refuses a datum
+tagged for another base.  The sphere reaches it through an rp2 tail
+(`realize.realize_sphere`).
 """
 
 from __future__ import annotations
@@ -127,13 +134,15 @@ def admissible(datum: BranchDatum) -> tuple[bool, str]:
     return True, "strict"
 
 
-def _require_constructible(partitions: tuple[Partition, ...]) -> None:
-    """Raise InadmissibleError unless the construction covers the partitions:
-    the projective-plane rule of `admissible` (the construction is the same
-    whatever the base tag), the boundary only with a branch point [d]."""
-    datum = BranchDatum("rp2", partitions[0].degree, partitions)
+def _require_constructible(datum: BranchDatum) -> None:
+    """Raise InadmissibleError unless the construction covers the datum: a
+    datum over the projective plane (the sphere reaches the construction
+    through an rp2 tail, see `realize.realize_sphere`) that `admissible`
+    accepts, the boundary only with a branch point [d]."""
+    if datum.base != "rp2":
+        raise InadmissibleError(f"the construction needs an rp2 datum, not {datum.base}")
     ok, kind = admissible(datum)
-    if ok and kind == "boundary" and Partition([datum.degree]) not in partitions:
+    if ok and kind == "boundary" and Partition([datum.degree]) not in datum.partitions:
         ok, kind = False, "boundary defect nu = d-1 without a full-cycle branch point"
     if not ok:
         raise InadmissibleError(kind)
@@ -250,7 +259,7 @@ def _check_pair_gate(D1: Partition, D2: Partition) -> int:
         raise InadmissibleError("partition degrees differ")
     if D1.is_trivial() or D2.is_trivial():
         raise InadmissibleError("trivial partition is not a branch point")
-    _require_constructible((D1, D2))
+    _require_constructible(BranchDatum("rp2", D1.degree, (D1, D2)))
     return D1.degree
 
 
@@ -418,21 +427,40 @@ def _check_construction(sigmas, parts, d):
 # -- reduction and induction -----------------------------------------------------------
 
 
-def _factor_pair(memo, step, build, A, B, seed):
-    """The first two outputs of ``build(A, B, seed)``: a factor pair.
+def _shared(memo, build, *args):
+    """``build(*args)``, where ``build`` is a pure function of its arguments.
 
-    With ``memo`` None the pair is built.  Otherwise ``memo`` is a dict that
-    the caller owns and drops; the pair is built once per key (step, A, B,
-    seed) and shared, so only the partitions and the seed decide it.  Only
-    pairs are stored, never a trace.
+    With ``memo`` None the value is built.  Otherwise ``memo`` is a dict that
+    the caller owns and drops; the value is built once per key
+    (build, *args) and shared.  Keys compare by value (`Permutation` hashes
+    its domain and images), so a hit needs equal arguments, not the same
+    origin.  Only derived values are stored, never a trace.
     """
     if memo is None:
-        return build(A, B, seed)[:2]
-    key = (step, A, B, seed)
-    pair = memo.get(key)
-    if pair is None:
-        pair = memo[key] = build(A, B, seed)[:2]
-    return pair
+        return build(*args)
+    key = (build, *args)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(*args)
+    return value
+
+
+def _pair(A, B, seed):
+    """The factor pair of `two_datum_construct`."""
+    return two_datum_construct(A, B, seed)[:2]
+
+
+def _reduction(factor, A, B, seed):
+    """The factor pair ``factor(A, B, seed)`` of a `product_defect_*` step,
+    its product and the cycle type of the product, the merged partition."""
+    gamma1, gamma2 = factor(A, B, seed)
+    product = compose(gamma1, gamma2)
+    return gamma1, gamma2, product, product.cycle_type()
+
+
+def _conjugate_pair(gamma1, gamma2, lam):
+    """gamma1 and gamma2 relabelled by one conjugator."""
+    return conjugate(gamma1, lam), conjugate(gamma2, lam)
 
 
 @dataclass(frozen=True)
@@ -441,13 +469,14 @@ class ReductionStep:
     gamma1: Permutation
     gamma2: Permutation
     merged: tuple[int, int]
+    product: Permutation  # gamma1 * gamma2, of the type of reduced's first partition
 
 
 def reduce_collection(datum: BranchDatum, seed: int = 0, *, memo=None) -> ReductionStep:
     """Merge two partitions of the datum into the cycle type of a product
     with controlled defect, preserving the admissibility gate.  ``memo``:
-    see `_factor_pair`."""
-    _require_constructible(datum.partitions)
+    see `_shared`."""
+    _require_constructible(datum)
     if len(datum.partitions) < 3:
         raise InadmissibleError("reduction needs at least three partitions")
     d = datum.degree
@@ -466,17 +495,16 @@ def reduce_collection(datum: BranchDatum, seed: int = 0, *, memo=None) -> Reduct
     tail_nu = sum(parts[i].nu for i in keep_idx)
     q = (datum.nu - (d - 1)) // 2
     r = 2 * q - tail_nu
-    if r <= 0:
-        gamma1, gamma2 = _factor_pair(memo, "exact", product_defect_exact, A, B, seed)
-    else:
-        gamma1, gamma2 = _factor_pair(memo, "reduced", product_defect_reduced, A, B, seed)
-    D = compose(gamma1, gamma2).cycle_type()
+    factor = product_defect_exact if r <= 0 else product_defect_reduced
+    gamma1, gamma2, product, D = _shared(memo, _reduction, factor, A, B, seed)
     reduced = BranchDatum(
         base=datum.base,
         degree=d,
         partitions=(D, *(parts[i] for i in keep_idx)),
     )
-    return ReductionStep(reduced=reduced, gamma1=gamma1, gamma2=gamma2, merged=(i1, i2))
+    return ReductionStep(
+        reduced=reduced, gamma1=gamma1, gamma2=gamma2, merged=(i1, i2), product=product
+    )
 
 
 def _reorder_factors(sigmas: list[Permutation], targets: list[int]) -> list[Permutation]:
@@ -503,19 +531,18 @@ def fundamental_construct(
 ) -> tuple[Permutation, ...]:
     """Permutations sigma_i, one per partition in order, whose product is a
     (d-2)-cycle and whose span is transitive and primitive.  ``memo``: see
-    `_factor_pair`."""
-    _require_constructible(datum.partitions)
+    `_shared`."""
+    _require_constructible(datum)
     d = datum.degree
     parts = datum.partitions
     if len(parts) == 2:
-        return _factor_pair(memo, "pair", two_datum_construct, parts[0], parts[1], seed)
+        return _shared(memo, _pair, parts[0], parts[1], seed)
 
     step = reduce_collection(datum, seed, memo=memo)
     sub = fundamental_construct(step.reduced, seed, memo=memo)
-    sigma_hat = sub[0]
-    lam_hat = conjugator_matching(compose(step.gamma1, step.gamma2), sigma_hat)
-    g1 = conjugate(step.gamma1, lam_hat)
-    g2 = conjugate(step.gamma2, lam_hat)
+    # relabel the merged pair so that its product is the first factor of sub
+    lam_hat = _shared(memo, conjugator_matching, step.product, sub[0])
+    g1, g2 = _shared(memo, _conjugate_pair, step.gamma1, step.gamma2, lam_hat)
 
     i1, i2 = step.merged
     keep_idx = [i for i in range(len(parts)) if i not in (i1, i2)]
@@ -604,7 +631,7 @@ def full_cycle_datum_construct(
     full = Partition([d])
     if full not in datum.partitions:
         raise InadmissibleError("datum does not contain the full-cycle partition")
-    _require_constructible(datum.partitions)
+    _require_constructible(datum)
     s = len(datum.partitions)
     if s == 1 and not _is_prime(d):
         raise InadmissibleError(

@@ -137,16 +137,32 @@ def minimal_block(gens: Sequence[Permutation], seed_pair: tuple[int, int]) -> tu
     return next(c for c in classes if a in c)
 
 
+def _largest_proper_divisor(d: int) -> int:
+    """The largest divisor of d below d: 1 exactly when d is prime (or d <= 1)."""
+    k = 2
+    while k * k <= d:
+        if d % k == 0:
+            return d // k
+        k += 1
+    return 1
+
+
 def is_primitive(
     gens: Sequence[Permutation],
 ) -> tuple[bool, BlockSystem | None]:
-    """Exact primitivity test; returns a witness block system when imprimitive."""
+    """Exact primitivity test; returns a witness block system when imprimitive.
+
+    A transitive group of prime degree is primitive without a closure: the
+    size of a block divides the degree.
+    """
     dom = _check_gens(gens)
     d = len(dom)
     if d < 2:
         raise GroupError("primitivity needs at least two points")
     if not is_transitive(gens):
         raise IntransitiveError("primitivity is defined for transitive groups only")
+    if _largest_proper_divisor(d) == 1:
+        return True, None
     tables = [g._index_table() for g in gens]
     for x in range(1, d):
         classes = _block_closure(tables, dom, 0, x)
@@ -191,8 +207,7 @@ def primitivity_fast_path(gens: Sequence[Permutation], l: int) -> bool | None:
         return None
     if gcd(l, d) != 1:
         return None
-    largest_proper = max((k for k in range(2, d) if d % k == 0), default=1)
-    if l <= largest_proper:
+    if l <= _largest_proper_divisor(d):
         return None
     if any(_isolated_cycle(g, l) for g in gens):
         return True

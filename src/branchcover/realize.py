@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .construct import (
     BranchDatum,
+    _shared,
     admissible,
     full_cycle_datum_construct,
     fundamental_construct,
@@ -70,11 +71,22 @@ def euler_characteristic(base: str, d: int, nu: int) -> int:
     return d * _CHI_BASE[base] - nu
 
 
+def _a_image(product: Permutation) -> Permutation:
+    """The a-image closing a^2 * product = 1: the inverse of the square root
+    of the product, a (d-2)-cycle."""
+    return sqrt_odd_cycle(product).inverse()
+
+
 def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCertificate:
     """Certificate for an indecomposable covering of the projective plane.
 
-    ``memo`` is passed on to `fundamental_construct`: a dict the caller owns
-    in which identical sub-constructions share their factor pairs.
+    Without a branch point [d], the u-images come from
+    `fundamental_construct`, their product is a (d-2)-cycle, and the a-image
+    is the inverse of its square root.  ``memo`` is a dict the caller owns
+    (`oracle.census` makes one per call; see `construct._shared`): the
+    factor pairs, reduced partitions and relabellings of identical
+    sub-constructions, and the a-image of an equal product, are then built
+    once and shared.  Every certificate is still verified on its own.
     """
     if datum.base != "rp2":
         raise InadmissibleError("datum is not over the projective plane")
@@ -83,7 +95,7 @@ def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCerti
         a, us = full_cycle_datum_construct(datum, seed)
     else:
         us = fundamental_construct(datum, seed, memo=memo)
-        a = sqrt_odd_cycle(compose(*us)).inverse()
+        a = _shared(memo, _a_image, compose(*us))
     cert = HurwitzCertificate(
         base="rp2", degree=d, datum=datum, a_image=a, u_images=tuple(us)
     )

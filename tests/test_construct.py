@@ -8,6 +8,7 @@ from branchcover import construct
 from branchcover.construct import (
     BranchDatum,
     ConstructionTrace,
+    admissible,
     full_cycle_datum_construct,
     fundamental_construct,
     load_appendix_table,
@@ -192,6 +193,21 @@ def test_reduce_collection_parity_gate():
         reduce_collection(
             BranchDatum("rp2", 5, (P([2, 2, 1]), P([2, 2, 1]), P([2, 1, 1, 1])))
         )
+
+
+def test_construction_refuses_a_datum_not_over_the_projective_plane():
+    """d-1 < nu < 2d-2: admissible over rp2, below the sphere's threshold."""
+    three = BranchDatum("s2", 5, (P([3, 1, 1]),) * 3)
+    with_full = BranchDatum("s2", 5, (P([5]), P([3, 1, 1])))
+    assert not admissible(three)[0] and not admissible(with_full)[0]
+    for build, datum in (
+        (fundamental_construct, three),
+        (reduce_collection, three),
+        (full_cycle_datum_construct, with_full),
+    ):
+        with pytest.raises(InadmissibleError):
+            build(datum)
+        build(BranchDatum("rp2", 5, datum.partitions))
 
 
 def test_reduce_collection_relabels_single_spare_transposition():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from branchcover import groups
 from branchcover.groups import (
     GroupError,
     IntransitiveError,
@@ -176,6 +177,33 @@ def test_forward_closure_matches_the_two_sided_reference(gapped):
             assert witness.blocks == expected
             assert witness.block_size == len(expected[0])
     assert min(verdicts.values()) >= 20
+
+
+@pytest.mark.parametrize("gapped", [False, True])
+@pytest.mark.parametrize("d", [5, 7, 11, 13])
+def test_prime_degree_needs_no_closure(monkeypatch, d, gapped):
+    """At prime d the verdict of a transitive set is the closure scan's
+    without running a closure; an intransitive set still raises."""
+    dom = tuple(range(3, 3 * d + 3, 3)) if gapped else tuple(range(1, d + 1))
+    rng = random.Random(d)
+    sets = []
+    while len(sets) < 10:
+        gs = _random_gens(rng, list(dom), rng.randint(1, 3))
+        if is_transitive(gs):
+            sets.append(gs)
+    scans = []
+    for gs in sets:
+        tables = [g._index_table() for g in gs]
+        scans.append(all(_block_closure(tables, dom, 0, x) is None for x in range(1, d)))
+
+    def no_closure(*args):
+        raise AssertionError("closure run at prime degree")
+
+    monkeypatch.setattr(groups, "_block_closure", no_closure)
+    assert [is_primitive(gs) for gs in sets] == [(prim, None) for prim in scans]
+    transposition = Permutation.from_mapping({dom[0]: dom[1], dom[1]: dom[0]}, dom)
+    with pytest.raises(IntransitiveError):
+        is_primitive([transposition])
 
 
 def test_primitivity_fast_path_examples():

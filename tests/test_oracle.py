@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from branchcover import construct
+from branchcover import construct, realize
 from branchcover.construct import parse_datum
 from branchcover.errors import InadmissibleError
 from branchcover.groups import is_primitive, is_transitive
@@ -205,3 +205,32 @@ def test_census_shares_pairs_within_one_call_only(monkeypatch):
     assert len(calls) == per_call
     # within a call each distinct pair is built once
     assert 0 < per_call == len(set(calls)) < first
+
+
+def _counted(log, fn):
+    def counting(*args):
+        log.append(args)
+        return fn(*args)
+
+    return counting
+
+
+def test_census_derives_each_relabelling_and_square_root_once_per_call(monkeypatch):
+    """Within one census call `conjugator_matching` (the relabelling of a
+    merged pair) and `sqrt_odd_cycle` (the a-image) run once per distinct
+    input, fewer times than there are constructed s = 3 data."""
+    calls = {}
+    for module, name in ((construct, "conjugator_matching"), (realize, "sqrt_odd_cycle")):
+        calls[name] = []
+        monkeypatch.setattr(module, name, _counted(calls[name], getattr(module, name)))
+
+    def sweep():
+        rows = list(census(7, 3))
+        s3 = sum(r.classification == "constructed" and r.datum.count(";") == 2 for r in rows)
+        counts = {name: len(log) for name, log in calls.items()}
+        for name, log in calls.items():
+            assert 0 < len(log) == len(set(log)) < s3, name
+            log.clear()
+        return counts
+
+    assert sweep() == sweep()  # a second call derives everything again

@@ -291,7 +291,7 @@ def test_certificate_structural_invariants():
 
 def _gate_rejects(datum):
     try:
-        construct._require_constructible(datum.partitions)
+        construct._require_constructible(datum)
     except InadmissibleError:
         return True
     return False
