@@ -46,9 +46,9 @@ tagged for another base.  The sphere reaches it through an rp2 tail
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import InadmissibleError, ParseError
 from .groups import GroupError, is_primitive, is_transitive, primitivity_fast_path
@@ -80,24 +80,39 @@ from .perm import (
 # -- branch data -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BranchDatum:
-    """Base surface tag, degree, and one partition per branch point."""
-
+class _BranchDatumFields(NamedTuple):
     base: str
     degree: int
     partitions: tuple[Partition, ...]
 
-    def __post_init__(self):
-        if self.base not in ("rp2", "s2"):
-            raise ParseError(f"unknown base surface {self.base!r}")
-        if not self.partitions:
+
+class BranchDatum(_BranchDatumFields):
+    """Base surface tag, degree, and one partition per branch point.
+
+    Every way of making one runs the checks of ``__new__``: ``_make`` (and so
+    ``_replace``), copy and pickle all call the class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, base: str, degree: int, partitions: tuple[Partition, ...]):
+        if base not in ("rp2", "s2"):
+            raise ParseError(f"unknown base surface {base!r}")
+        if not partitions:
             raise ParseError("a branch datum needs at least one partition")
-        for p in self.partitions:
-            if p.degree != self.degree:
-                raise ParseError(f"partition {p} does not sum to degree {self.degree}")
+        for p in partitions:
+            if p.degree != degree:
+                raise ParseError(f"partition {p} does not sum to degree {degree}")
             if p.is_trivial():
                 raise ParseError("trivial partition [1,...,1] is not a branch point")
+        return super().__new__(cls, base, degree, partitions)
+
+    @classmethod
+    def _make(cls, iterable) -> "BranchDatum":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @property
     def nu(self) -> int:
@@ -162,8 +177,7 @@ def parse_datum(text: str, base: str) -> BranchDatum:
 # -- golden table ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AppendixRow:
+class AppendixRow(NamedTuple):
     index: int
     degree: int
     D1: Partition
@@ -239,8 +253,7 @@ def _table_by_key() -> dict:
 # -- construction trace -------------------------------------------------------------
 
 
-@dataclass
-class ConstructionTrace:
+class ConstructionTrace(NamedTuple):
     case: str
     beta0: Permutation | None = None
     deleted: tuple[int, ...] = ()
@@ -394,7 +407,7 @@ def two_datum_construct(
         if got is None:
             got = _pair_search_fallback(A, B, d, seed)
         lam, beta, trace = got
-        trace.swapped = swapped
+        trace = trace._replace(swapped=swapped)
         lam_out, beta_out = (beta, lam) if swapped else (lam, beta)
 
     _check_construction([lam_out, beta_out], (D1, D2), d)
@@ -463,8 +476,7 @@ def _conjugate_pair(gamma1, gamma2, lam):
     return conjugate(gamma1, lam), conjugate(gamma2, lam)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     reduced: BranchDatum
     gamma1: Permutation
     gamma2: Permutation

@@ -33,8 +33,7 @@ still carries correctness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .perm import (
     Partition,
@@ -54,8 +53,7 @@ class EksError(ValueError):
     """Precondition violation or exhausted internal search."""
 
 
-@dataclass(frozen=True)
-class SplitTrace:
+class SplitTrace(NamedTuple):
     """Intermediates of the surplus-defect path."""
 
     remainder_part: Partition      # even remainder on the small point set
@@ -69,8 +67,7 @@ class SplitTrace:
     eta: Permutation
 
 
-@dataclass(frozen=True)
-class MergeTrace:
+class MergeTrace(NamedTuple):
     kind: str                      # 'threading' | 'split' | 'search'
     split: SplitTrace | None = None
 

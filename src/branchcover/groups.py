@@ -13,9 +13,8 @@ that needs a transitive group raises `IntransitiveError` for any other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .perm import Permutation, compose
 
@@ -28,8 +27,7 @@ class IntransitiveError(GroupError):
     """An operation defined for transitive groups got an intransitive one."""
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(NamedTuple):
     """An invariant partition of the points into equal-size blocks."""
 
     degree: int

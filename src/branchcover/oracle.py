@@ -9,9 +9,8 @@ datum of a given degree.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .construct import BranchDatum, admissible, load_appendix_table
 from .eks import EksError
@@ -141,8 +140,7 @@ def partitions_of(n: int) -> list[Partition]:
     return out
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """One datum of a census.  ``millis`` is the wall time of this row's own
     work: a datum whose sub-constructions an earlier row already built reuses
     their factor pairs and reads lower."""

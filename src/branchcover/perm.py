@@ -28,7 +28,6 @@ is built on first use and handed on to results on the same domain.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -370,6 +369,9 @@ class Partition:
     def __len__(self) -> int:
         return len(self.parts)
 
+    def __reduce__(self):
+        return Partition, (self.parts,)
+
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
 
@@ -391,12 +393,10 @@ class Partition:
         return Partition(parts)
 
 
-@dataclass(frozen=True)
 class PointSubset:
     """A sorted subset of the labels 1..degree."""
 
-    degree: int
-    members: tuple[int, ...]
+    __slots__ = ("degree", "members")
 
     def __init__(self, degree: int, members: Iterable[int]):
         mem = tuple(sorted(set(members)))
@@ -404,6 +404,25 @@ class PointSubset:
             raise PermError("subset labels out of range")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "members", mem)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PointSubset is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, PointSubset)
+            and (self.degree, self.members) == (other.degree, other.members)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.members))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, so its check runs again
+        return PointSubset, (self.degree, self.members)
+
+    def __repr__(self) -> str:
+        return f"PointSubset(degree={self.degree!r}, members={self.members!r})"
 
 
 def _keep_labels(keep) -> tuple[int, ...]:

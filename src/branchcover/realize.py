@@ -11,7 +11,7 @@ reusing builder state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construct import (
     BranchDatum,
@@ -36,27 +36,41 @@ from .perm import (
 _CHI_BASE = {"rp2": 1, "s2": 2}
 
 
-@dataclass(frozen=True)
-class HurwitzCertificate:
-    """Generator images witnessing a realization; the verifiable artifact."""
-
+class _CertificateFields(NamedTuple):
     base: str
     degree: int
     datum: BranchDatum
     a_image: Permutation | None
     u_images: tuple[Permutation, ...]
 
-    def __post_init__(self):
-        if self.base not in _CHI_BASE:
-            raise ParseError(f"unknown base surface {self.base!r}")
-        if (self.a_image is not None) != (self.base == "rp2"):
+
+class HurwitzCertificate(_CertificateFields):
+    """Generator images witnessing a realization; the verifiable artifact.
+
+    Every way of making one runs the checks of ``__new__``, as for
+    `BranchDatum`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, base, degree, datum, a_image, u_images):
+        if base not in _CHI_BASE:
+            raise ParseError(f"unknown base surface {base!r}")
+        if (a_image is not None) != (base == "rp2"):
             raise ParseError("a-image present iff the base is the projective plane")
-        if len(self.u_images) != len(self.datum.partitions):
+        if len(u_images) != len(datum.partitions):
             raise ParseError("one u-image per branch point required")
+        return super().__new__(cls, base, degree, datum, a_image, u_images)
+
+    @classmethod
+    def _make(cls, iterable) -> "HurwitzCertificate":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     relation_ok: bool
     cycle_types_ok: bool
     transitive: bool

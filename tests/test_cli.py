@@ -355,14 +355,13 @@ def test_realize_names_the_gate_rejection(capsys, base, datum, reason):
 
 _CORRUPT_TABLE_THEN_CHECK = """\
 import sys
-from dataclasses import replace
 from branchcover import cli, construct
 
 parse = construct._parse_table
 
 def corrupted(text):  # the first row's beta replaced by its lambda
     first, *rest = parse(text)
-    return (replace(first, beta=first.lam), *rest)
+    return (first._replace(beta=first.lam), *rest)
 
 construct._parse_table = corrupted
 construct.load_appendix_table.cache_clear()
