@@ -25,7 +25,9 @@ checks that `python -O` keeps: `two_datum_construct` and
 `fundamental_construct` check the class of each factor, the product's cycle
 type, transitivity and primitivity; `full_cycle_datum_construct` checks the
 representation relation.  The golden table passes the same output check
-when it is loaded.  A failed check raises `EksError`.
+when it is loaded.  A failed check raises `EksError`.  The recursion
+`_build` checks no level; `realize` calls it and leaves the one check of a
+certificate to its independent verifier.
 
 Data with many branch points share most of their reduction subtrees.
 `fundamental_construct` and `reduce_collection` take an optional `memo`, a
@@ -35,8 +37,8 @@ per distinct input: the factor pair of `two_datum_construct` and of the
 `product_defect_*` step (with its product and that product's cycle type,
 the merged partition), and the relabelling of a merged pair onto the
 reduced datum's first factor (the conjugator and the two conjugates).  A
-shared pair passed its own output check when it was built; every datum
-still runs its own `fundamental_construct` check.
+shared pair passed its own output check when it was built; every realized
+datum is still verified on its own.
 
 The construction is over the projective plane: each entry refuses a datum
 tagged for another base.  The sphere reaches it through an rp2 tail
@@ -543,26 +545,37 @@ def fundamental_construct(
 ) -> tuple[Permutation, ...]:
     """Permutations sigma_i, one per partition in order, whose product is a
     (d-2)-cycle and whose span is transitive and primitive.  ``memo``: see
-    `_shared`."""
+    `_shared`.  Gated and checked once, here; `two_datum_construct` checked
+    a pair."""
     _require_constructible(datum)
-    d = datum.degree
+    sigmas = _build(datum, seed, memo)
+    if len(datum.partitions) > 2:
+        _check_construction(sigmas, datum.partitions, datum.degree)
+    return sigmas
+
+
+def _build(datum: BranchDatum, seed: int, memo) -> tuple[Permutation, ...]:
+    """The recursion of `fundamental_construct`, with no gate and no output
+    check of its own: the caller gates the datum (`_require_constructible`)
+    and checks or verifies the result once."""
     parts = datum.partitions
     if len(parts) == 2:
         return _shared(memo, _pair, parts[0], parts[1], seed)
 
     step = reduce_collection(datum, seed, memo=memo)
-    sub = fundamental_construct(step.reduced, seed, memo=memo)
+    sub = _build(step.reduced, seed, memo)
     # relabel the merged pair so that its product is the first factor of sub
-    lam_hat = _shared(memo, conjugator_matching, step.product, sub[0])
+    try:
+        lam_hat = _shared(memo, conjugator_matching, step.product, sub[0])
+    except PermError as exc:  # a defect below: sub[0] has the wrong type
+        raise EksError(f"construction output: {exc}") from exc
     g1, g2 = _shared(memo, _conjugate_pair, step.gamma1, step.gamma2, lam_hat)
 
     i1, i2 = step.merged
     keep_idx = [i for i in range(len(parts)) if i not in (i1, i2)]
     internal = [g1, g2, *sub[1:]]
     targets = [i1, i2, *keep_idx]
-    sigmas = _reorder_factors(internal, targets)
-    _check_construction(sigmas, parts, d)
-    return tuple(sigmas)
+    return tuple(_reorder_factors(internal, targets))
 
 
 # -- data containing the full-cycle partition [d] ----------------------------------------

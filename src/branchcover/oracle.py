@@ -159,8 +159,8 @@ def census(d: int, max_s: int, seed: int = 0) -> Iterator[CensusRow]:
     The caps are checked at the call, before any row.  The data of one call
     share the factor pairs of identical sub-constructions (`construct`'s
     ``memo``) through one dict that lives as long as the returned iterator,
-    so a second call builds everything again.  Each datum is still checked
-    and verified on its own.
+    so a second call builds everything again.  Each certificate is still
+    verified on its own, once, by the independent verifier.
     """
     if d % 2 == 0 or not 3 <= d <= 13:
         raise InadmissibleError("census caps: d odd, from 3 to 13")
@@ -171,10 +171,11 @@ def census(d: int, max_s: int, seed: int = 0) -> Iterator[CensusRow]:
 
 def _census_rows(d, max_s, seed):
     memo: dict = {}
-    usable = [p for p in partitions_of(d) if not p.is_trivial()]
+    usable = [(p, str(p)) for p in partitions_of(d) if not p.is_trivial()]
     for s in range(1, max_s + 1):
         for combo in combinations_with_replacement(usable, s):
-            datum = BranchDatum(base="rp2", degree=d, partitions=tuple(combo))
+            partitions, texts = zip(*combo)
+            datum = BranchDatum(base="rp2", degree=d, partitions=partitions)
             nu = datum.nu
             start = time.perf_counter()
             ok, kind = admissible(datum)
@@ -187,4 +188,4 @@ def _census_rows(d, max_s, seed):
                 realize_rp2(datum, seed, memo=memo)
                 cls = "constructed"
             ms = (time.perf_counter() - start) * 1000.0
-            yield CensusRow(datum=str(datum), nu=nu, classification=cls, millis=ms)
+            yield CensusRow(datum=";".join(texts), nu=nu, classification=cls, millis=ms)

@@ -15,10 +15,11 @@ from typing import NamedTuple
 
 from .construct import (
     BranchDatum,
+    _build,
+    _require_constructible,
     _shared,
     admissible,
     full_cycle_datum_construct,
-    fundamental_construct,
     parse_datum,
 )
 from .errors import InadmissibleError, ParseError, VerificationError
@@ -94,13 +95,14 @@ def _a_image(product: Permutation) -> Permutation:
 def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCertificate:
     """Certificate for an indecomposable covering of the projective plane.
 
-    Without a branch point [d], the u-images come from
-    `fundamental_construct`, their product is a (d-2)-cycle, and the a-image
-    is the inverse of its square root.  ``memo`` is a dict the caller owns
-    (`oracle.census` makes one per call; see `construct._shared`): the
-    factor pairs, reduced partitions and relabellings of identical
-    sub-constructions, and the a-image of an equal product, are then built
-    once and shared.  Every certificate is still verified on its own.
+    Without a branch point [d], the u-images come from `construct._build`,
+    their product is a (d-2)-cycle, and the a-image is the inverse of its
+    square root.  ``memo`` is a dict the caller owns (`oracle.census` makes
+    one per call; see `construct._shared`): the factor pairs, reduced
+    partitions and relabellings of identical sub-constructions, and the
+    a-image of an equal product, are then built once and shared.  The
+    verifier is the one check of every certificate; a product with no such
+    square root fails it too.
     """
     if datum.base != "rp2":
         raise InadmissibleError("datum is not over the projective plane")
@@ -108,8 +110,12 @@ def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCerti
     if Partition([d]) in datum.partitions:
         a, us = full_cycle_datum_construct(datum, seed)
     else:
-        us = fundamental_construct(datum, seed, memo=memo)
-        a = _shared(memo, _a_image, compose(*us))
+        _require_constructible(datum)
+        us = _build(datum, seed, memo)
+        try:
+            a = _shared(memo, _a_image, compose(*us))
+        except PermError as exc:
+            raise VerificationError(f"self-verification failed: {exc}") from exc
     cert = HurwitzCertificate(
         base="rp2", degree=d, datum=datum, a_image=a, u_images=tuple(us)
     )
@@ -121,7 +127,8 @@ def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCerti
 
 def realize_sphere(datum: BranchDatum, seed: int = 0) -> HurwitzCertificate:
     """Certificate over the sphere for data led by the near-full partition
-    [d-2,1,1] with total defect at least 2d-2."""
+    [d-2,1,1] with total defect at least 2d-2; the verifier is the one check
+    of the certificate."""
     if datum.base != "s2":
         raise InadmissibleError("datum is not over the sphere")
     ok, reason = admissible(datum)
@@ -131,7 +138,8 @@ def realize_sphere(datum: BranchDatum, seed: int = 0) -> HurwitzCertificate:
     if datum.partitions[0] != Partition([d - 2, 1, 1]):
         raise InadmissibleError("first partition must be [d-2,1,1]")
     tail = BranchDatum(base="rp2", degree=d, partitions=datum.partitions[1:])
-    sigmas = fundamental_construct(tail, seed)
+    _require_constructible(tail)
+    sigmas = _build(tail, seed, None)
     sigma1 = compose(*sigmas).inverse()
     cert = HurwitzCertificate(
         base="s2",

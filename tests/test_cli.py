@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from branchcover import cli, oracle, realize
+from branchcover import cli, construct, oracle, realize
 from branchcover.cli import main
+from branchcover.construct import BranchDatum
+from branchcover.perm import Partition, Permutation, compose, from_cycles
 from branchcover.realize import VerificationReport
 
 
@@ -243,6 +245,94 @@ def test_realize_failed_self_verification(monkeypatch, capsys):
     code, out, err = run(capsys, "realize", "--base", "rp2", "--datum", "[3,2];[3,2]")
     assert code == 1 and out == ""
     assert "self-verification failed: valid-decomposable" in err
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_each_result_checked_once(monkeypatch, capsys):
+    """realize and census leave the check of a result to the verifier; only a
+    pair (inside `two_datum_construct`) and the public `fundamental_construct`
+    run the construction's own exit check."""
+    construct.load_appendix_table()  # its rows are checked once, when loaded
+    verifications = _count_verifications(monkeypatch)
+    checks = _count_calls(monkeypatch, construct, "_check_construction")
+    pairs = _count_calls(monkeypatch, construct, "two_datum_construct")
+
+    constructed = sum(r.classification == "constructed" for r in oracle.census(7, 3))
+    assert len(verifications) == constructed
+    assert 0 < len(checks) == len(pairs) < constructed
+
+    for log in (verifications, checks, pairs):
+        log.clear()
+    code, _, _ = run(capsys, "realize", "--base", "rp2", "--datum", "[3,2];[3,2];[2,2,1]")
+    assert code == 0 and len(verifications) == 1 and len(checks) <= 1
+
+    checks.clear()
+    pairs.clear()
+    P = Partition
+    s4 = BranchDatum("rp2", 7, (P([3, 2, 2]), P([2, 2, 2, 1]), P([3, 3, 1]), P([2, 2, 2, 1])))
+    construct.fundamental_construct(s4)
+    assert len(pairs) == 1 and len(checks) == 2  # its own check and its pair's
+
+
+def _even_cycle_product(us):
+    """Join the product's two fixed points into a 2-cycle: [d-2,2] has no
+    square root."""
+    product = compose(*us)
+    x, y = (p for p in product.domain if product(p) == p)
+    return (*us[:-1], compose(us[-1], from_cycles([(x, y)], product.degree)))
+
+
+def _factor_out_of_class(us):
+    """The same product, with the first two factors fused and an identity."""
+    return (compose(us[0], us[1]), Permutation.identity(us[0].degree), *us[2:])
+
+
+@pytest.mark.parametrize(
+    "base, datum, fault",
+    [
+        ("rp2", "[3,2];[3,2];[2,2,1]", _even_cycle_product),
+        ("rp2", "[3,2];[3,2];[2,2,1]", _factor_out_of_class),
+        ("rp2", "[3,2];[3,2];[2,2,1]", "broken relation"),
+        ("rp2", "[3,2,2];[2,2,2,1];[3,3,1];[2,2,2,1]", "misordered factors"),
+        ("s2", "[3,1,1];[3,2];[3,2];[2,2,1]", _even_cycle_product),
+        ("s2", "[3,1,1];[3,2];[3,2];[2,2,1]", _factor_out_of_class),
+    ],
+    ids=[
+        "rp2-even-cycle",
+        "rp2-out-of-class",
+        "rp2-relation",
+        "rp2-misordered",
+        "s2-even-cycle",
+        "s2-out-of-class",
+    ],
+)
+def test_builder_defect_on_the_realize_path_exits_1(monkeypatch, capsys, base, datum, fault):
+    """realize runs no construction check of its own on s >= 3 data, so a
+    defect of the unchecked builder must meet the verifier: exit 1, no
+    certificate, and never the parse error exit 3."""
+    if fault == "broken relation":
+        # the a-image no longer squares to the inverse of the product
+        monkeypatch.setattr(realize, "sqrt_odd_cycle", lambda p: p)
+    elif fault == "misordered factors":
+        # every level of the s = 4 recursion returns its factors reversed
+        monkeypatch.setattr(construct, "_reorder_factors", lambda sigmas, targets: sigmas[::-1])
+    else:
+        build = realize._build
+        monkeypatch.setattr(realize, "_build", lambda *args: fault(build(*args)))
+    code, out, err = run(capsys, "realize", "--base", base, "--datum", datum)
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure")
 
 
 def test_check_table(capsys):

@@ -29,6 +29,7 @@ from branchcover.perm import (
     parse_cycles,
     project,
 )
+from branchcover.realize import realize_rp2
 
 P = Partition
 
@@ -151,6 +152,15 @@ def test_two_datum_exhaustive_sweep_small():
             ),
         ),
         (
+            "_reorder_factors",
+            lambda sigmas, targets: sigmas[::-1],
+            lambda: fundamental_construct(
+                BranchDatum(
+                    "rp2", 7, (P([3, 2, 2]), P([2, 2, 2, 1]), P([3, 3, 1]), P([2, 2, 2, 1]))
+                )
+            ),
+        ),
+        (
             "sqrt_odd_cycle",
             lambda p: p,
             lambda: full_cycle_datum_construct(
@@ -158,7 +168,7 @@ def test_two_datum_exhaustive_sweep_small():
             ),
         ),
     ],
-    ids=["two_datum", "fundamental_s3", "full_cycle"],
+    ids=["two_datum", "fundamental_s3", "fundamental_s4", "full_cycle"],
 )
 def test_construction_postconditions_survive_without_asserts(
     monkeypatch, step, wrong, call
@@ -208,6 +218,18 @@ def test_construction_refuses_a_datum_not_over_the_projective_plane():
         with pytest.raises(InadmissibleError):
             build(datum)
         build(BranchDatum("rp2", 5, datum.partitions))
+
+
+def test_entries_refuse_an_inadmissible_datum_of_three_points():
+    """Each public entry gates an s >= 3 datum itself; the recursion below
+    it does not gate."""
+    odd_nu = BranchDatum("rp2", 5, (P([2, 2, 1]), P([2, 2, 1]), P([2, 1, 1, 1])))
+    below = BranchDatum("rp2", 7, (P([2, 2, 1, 1, 1]), P([2, 1, 1, 1, 1, 1]), P([3, 1, 1, 1, 1])))
+    for datum in (odd_nu, below):
+        assert not admissible(datum)[0]
+        for entry in (fundamental_construct, reduce_collection, realize_rp2):
+            with pytest.raises(InadmissibleError):
+                entry(datum)
 
 
 def test_reduce_collection_relabels_single_spare_transposition():

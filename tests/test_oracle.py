@@ -1,5 +1,6 @@
 """Brute-force oracles and the census."""
 
+import hashlib
 import random
 
 import pytest
@@ -187,6 +188,16 @@ def test_shared_memo_keeps_certificates_byte_identical(seed):
         alone = certificate_to_text(realize_rp2(datum, seed))
         assert certificate_to_text(realize_rp2(datum, seed, memo=shared)) == alone
     assert shared  # the sweep went through the memo
+
+
+def test_census_row_text_is_the_datum_text():
+    rows = list(census(9, 3))
+    columns = "\n".join(f"{r.datum}|{r.nu}|{r.classification}" for r in rows)
+    # pinned, so formatting the row text another way cannot move a column
+    digest = "7ece2a127affc61578115e048d36a9884525fc9707803aedda8eab3eb8f475ed"
+    assert hashlib.sha256(columns.encode()).hexdigest() == digest
+    for r in rows:
+        assert r.datum == str(parse_datum(r.datum, "rp2"))
 
 
 def test_census_shares_pairs_within_one_call_only(monkeypatch):
