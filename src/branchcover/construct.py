@@ -15,10 +15,11 @@ target and (case 1) an anchor; `_reinsert` merges lam*beta0 on the kept
 points into a full cycle and re-inserts the deleted points.
 `reduce_collection` and `fundamental_construct` extend this to arbitrarily
 many partitions by merging the first two with controlled product defect
-and recursing.  `full_cycle_datum_construct` handles data containing the
-full-cycle partition [d], where the product is arranged to be a d-cycle
-(or the identity) and the extra generator is a square root or a
-transposition.
+and recursing.  A datum containing the full-cycle partition [d] needs no
+rule of its own: with s >= 2 branch points it is strict and the same
+recursion realizes it.  Only the single branch point {[d]} is special, and
+`full_cycle_datum_construct` realizes it by the canonical d-cycle when d is
+prime (`single_branch_verdict`).
 
 Each public construction checks its output once, at its exit, with explicit
 checks that `python -O` keeps: `two_datum_construct` and
@@ -54,6 +55,7 @@ from typing import NamedTuple
 
 from .errors import InadmissibleError, ParseError
 from .groups import GroupError, is_primitive, is_transitive, primitivity_fast_path
+from .groups import _largest_proper_divisor
 from .eks import (
     EksError,
     MergeTrace,
@@ -581,59 +583,24 @@ def _build(datum: BranchDatum, seed: int, memo) -> tuple[Permutation, ...]:
 # -- data containing the full-cycle partition [d] ----------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 def single_branch_verdict(d: int) -> str:
     """Verdict for the one-branch-point self-covering of the projective plane."""
     if d < 1:
         raise InadmissibleError(f"degree {d} is not positive")
     if d % 2 == 0:
         raise InadmissibleError("even degree excluded: the datum {[d]} forces d odd")
-    if d == 1 or _is_prime(d):
+    if _largest_proper_divisor(d) == 1:
         return "indecomposable"
     return "decomposable"
 
 
-def _perturb_until_nontrivial(gammas: dict[int, Permutation], order: list[int], d: int):
-    """Make the cyclically-rotated product of the chosen factors non-trivial
-    without changing any cycle structure."""
-
-    def rotated_product():
-        out = Permutation.identity(d)
-        for i in order:
-            out = compose(out, gammas[i])
-        return out
-
-    if not rotated_product().is_identity():
-        return
-    for i in order:
-        if any(len(c) >= 3 for c in gammas[i].cycles()):
-            gammas[i] = gammas[i].inverse()
-            return
-    for i in order:
-        two = next((c for c in gammas[i].cycles() if len(c) == 2), None)
-        if two is None:
-            continue
-        y = two[1]
-        z = next(x for x in range(1, d + 1) if x not in two)
-        swap = from_cycles([(y, z)], d)
-        gammas[i] = conjugate(gammas[i], swap)
-        return
-    raise EksError("no transposition available to perturb")
-
-
 def _full_cycle_partner_search(B: Permutation, seed: int) -> Permutation:
     """A d-cycle g with B*g a d-cycle and <B, g> primitive (verified search;
-    the constructive proof lives outside this library)."""
+    the constructive proof lives outside this library).
+
+    No construction calls it: data containing [d] go through `_build`.  It
+    stays defined only because the benchmark's layer tracer binds it by name.
+    """
     d = B.degree
     full = Partition([d])
     rng = random.Random(seed)
@@ -651,50 +618,29 @@ def full_cycle_datum_construct(
     datum: BranchDatum, seed: int = 0
 ) -> tuple[Permutation, tuple[Permutation, ...]]:
     """Certificate ingredients (a, u_1..u_s) with a^2 * u_1 * ... * u_s = 1
-    for a datum containing the partition [d]."""
+    for a datum containing the partition [d].
+
+    The single branch point {[d]} is realized by the canonical d-cycle when
+    d is prime.  Any other such datum is strict and the u-images come from
+    the fundamental construction (`_build`).  Either way the a-image is the
+    inverse of the square root of the product.
+    """
     d = datum.degree
-    full = Partition([d])
-    if full not in datum.partitions:
+    if Partition([d]) not in datum.partitions:
         raise InadmissibleError("datum does not contain the full-cycle partition")
     _require_constructible(datum)
-    s = len(datum.partitions)
-    if s == 1 and not _is_prime(d):
+    if len(datum.partitions) > 1:
+        us = _build(datum, seed, None)
+    elif _largest_proper_divisor(d) == 1:
+        us = (canonical_in_class(datum.partitions[0], d),)
+    else:
         raise InadmissibleError(
             "only decomposable realizations (single branch point, composite degree)"
         )
-
-    if s == 1:
-        gamma = canonical_in_class(full, d)
-        a = sqrt_odd_cycle(gamma.inverse())
-        us = (gamma,)
-    else:
-        idx = max(i for i, p in enumerate(datum.partitions) if p == full)
-        gammas: dict[int, Permutation] = {
-            i: canonical_in_class(p, d)
-            for i, p in enumerate(datum.partitions)
-            if i != idx
-        }
-        order = [*range(idx + 1, s), *range(0, idx)]  # R then L
-        _perturb_until_nontrivial(gammas, order, d)
-
-        B = Permutation.identity(d)
-        for i in order:
-            B = compose(B, gammas[i])
-        if len(B.cycles()) == 1:
-            u_idx = B.inverse()
-            a = from_cycles([(1, u_idx(1))], d)
-        else:
-            u_idx = _full_cycle_partner_search(B, seed)
-            L = Permutation.identity(d)
-            for i in range(idx):
-                L = compose(L, gammas[i])
-            R = Permutation.identity(d)
-            for i in range(idx + 1, s):
-                R = compose(R, gammas[i])
-            a = sqrt_odd_cycle(compose(L, u_idx, R)).inverse()
-        gammas[idx] = u_idx
-        us = tuple(gammas[i] for i in range(s))
-
+    try:
+        a = sqrt_odd_cycle(compose(*us)).inverse()
+    except PermError as exc:  # a defect below: the product is no odd cycle
+        raise EksError(f"construction output: {exc}") from exc
     if not compose(a, a, *us).is_identity():
         raise EksError("construction output: the representation relation is violated")
     return a, us

@@ -22,12 +22,13 @@ path, `_merge_split`, serves every merge, anchored or not: it threads the
 smallest parts of the target while their defect fits, which is the whole
 target when there is no surplus defect (merge kind 'threading'); otherwise
 the even remainder is realized as a conjugated product of two full cycles
-(merge kind 'split').  Seeded randomized search remains in three places:
-the two-full-cycle factorization (`_factor_two_cycles_rng`, backed by an
-exhaustive backtrack), the fallback of the merge (`_search_merge`) and the
-fallback of exact threading (`_search_defect`), which threading never
-leaves to fire.  Outputs are always checked, so a fallback that does fire
-still carries correctness.
+(merge kind 'split').  Seeded randomized search builds outputs in one
+place, the two-full-cycle factorization (`_factor_two_cycles_rng`, backed
+by an exhaustive backtrack).  Two fallbacks remain: that of the merge
+(`_search_merge`, which no gated two-partition datum of degree up to 21
+reaches) and that of exact threading (`_search_defect`, which threading
+never leaves to fire).  Outputs are always checked, so a fallback that does
+fire still carries correctness.
 """
 
 from __future__ import annotations
@@ -214,6 +215,13 @@ def _merge_split(lam: Permutation, target: Partition, anchor, rng):
         acc += E[k] - 1
         k += 1
     f = dbar - nu_lam - acc
+    if f == 1 and k > 0 and anchor is not None and anchor[0] not in (1, *E[:k]):
+        if lam(anchor[1]) == anchor[1]:
+            # f = 1 would reserve the anchor, a fixed point of lam and so a
+            # whole live cycle: thread one part fewer, so that f >= 2 and the
+            # f-cycle takes the anchor
+            k -= 1
+            f += E[k] - 1
 
     tail = E[k:]
     mode = "free"

@@ -330,9 +330,10 @@ def format_cycles(p: Permutation) -> str:
 # -- partitions ---------------------------------------------------------------
 
 class Partition:
-    """Non-increasing positive parts with a fixed sum (the degree)."""
+    """Non-increasing positive parts with a fixed sum (the degree); the
+    defect nu is the degree minus the number of parts."""
 
-    __slots__ = ("parts", "degree")
+    __slots__ = ("parts", "degree", "nu")
 
     def __init__(self, parts: Iterable[int]):
         ps = tuple(sorted(parts, reverse=True))
@@ -342,14 +343,10 @@ class Partition:
             raise PermError("partition parts must be positive")
         object.__setattr__(self, "parts", ps)
         object.__setattr__(self, "degree", sum(ps))
+        object.__setattr__(self, "nu", self.degree - len(ps))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
-
-    @property
-    def nu(self) -> int:
-        """Defect: degree minus number of parts."""
-        return self.degree - len(self.parts)
 
     def is_trivial(self) -> bool:
         return self.parts[0] == 1

@@ -95,22 +95,24 @@ def _a_image(product: Permutation) -> Permutation:
 def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCertificate:
     """Certificate for an indecomposable covering of the projective plane.
 
-    Without a branch point [d], the u-images come from `construct._build`,
-    their product is a (d-2)-cycle, and the a-image is the inverse of its
-    square root.  ``memo`` is a dict the caller owns (`oracle.census` makes
-    one per call; see `construct._shared`): the factor pairs, reduced
-    partitions and relabellings of identical sub-constructions, and the
-    a-image of an equal product, are then built once and shared.  The
-    verifier is the one check of every certificate; a product with no such
-    square root fails it too.
+    The single branch point {[d]} goes to `full_cycle_datum_construct`.
+    Every other datum, with or without a branch point [d], takes its
+    u-images from `construct._build`: their product is a (d-2)-cycle, and
+    the a-image is the inverse of its square root.  ``memo`` is a dict the
+    caller owns (`oracle.census` makes one per call; see
+    `construct._shared`): the factor pairs, reduced partitions and
+    relabellings of identical sub-constructions, and the a-image of an
+    equal product, are then built once and shared.  The verifier is the one
+    check of every certificate; a product with no such square root fails it
+    too.
     """
     if datum.base != "rp2":
         raise InadmissibleError("datum is not over the projective plane")
     d = datum.degree
-    if Partition([d]) in datum.partitions:
+    _require_constructible(datum)
+    if len(datum.partitions) == 1:
         a, us = full_cycle_datum_construct(datum, seed)
     else:
-        _require_constructible(datum)
         us = _build(datum, seed, memo)
         try:
             a = _shared(memo, _a_image, compose(*us))

@@ -192,13 +192,13 @@ def test_library_has_no_assert_statements():
 @pytest.mark.parametrize(
     "base, datum",
     [
-        ("rp2", "[3];[3]"),  # d = 3 (contains [3]: the full-cycle route)
+        ("rp2", "[3];[3]"),  # d = 3, contains the full cycle [3]
         ("rp2", "[5,2];[4,3]"),  # case1
         ("rp2", "[3,2];[3,2]"),  # case2-table
         ("rp2", "[3,3,3,3,1];[3,3,3,3,1]"),  # case2-general
         ("rp2", "[6,1];[2,2,2,1]"),  # case3
         ("rp2", "[3,2];[3,2];[2,2,1]"),  # s = 3: reduction, then a pair
-        ("rp2", "[3,1,1];[5]"),  # full cycle with a partner search
+        ("rp2", "[3,1,1];[5]"),  # contains the full cycle [5]
         ("s2", "[3,1,1];[3,2];[3,2]"),  # sphere
     ],
 )
@@ -381,6 +381,9 @@ def test_single_branch_cli(capsys):
     assert code == 0 and out.strip() == "decomposable"
     code, out, _ = run(capsys, "single-branch", "--degree", "7")
     assert code == 0 and out.strip() == "indecomposable"
+    code, out, _ = run(capsys, "realize", "--base", "rp2", "--datum", "[5]")
+    assert code == 0
+    assert out == "base: rp2\ndegree: 5\ndatum: [5]\na: (1 3 5 2 4)\nu[1]: (1 2 3 4 5)\n"
 
 
 def test_missing_certificate_file(capsys):
@@ -433,6 +436,7 @@ def test_census_negative_degree(capsys, args):
         ("rp2", "[2,2];[2,2]", "even degree out of scope"),
         ("rp2", "[3,1,1];[2,1,1,1]", "parity violation: nu=3 is odd"),
         ("rp2", "[2,1,1,1];[2,1,1,1]", "nu=2 below d-1=4"),
+        ("rp2", "[3,1,1]", "nu=2 below d-1=4"),
         ("rp2", "[3,1,1];[3,1,1]", "boundary defect nu = d-1 without a full-cycle"),
         ("s2", "[3,1,1];[3,1,1];[2,2,1]", "nu=6 below 2d-2=8"),
     ],

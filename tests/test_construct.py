@@ -280,8 +280,6 @@ def test_fundamental_construct_four_partitions():
 def test_full_cycle_datum_pair_of_full_cycles():
     datum = BranchDatum("rp2", 5, (P([5]), P([5])))
     a, us = full_cycle_datum_construct(datum)
-    # trivial rotated product: the extra generator is a transposition
-    assert a.cycle_type() == P([2, 1, 1, 1])
     assert compose(a, a, *us).is_identity()
     assert is_primitive([a, *us])[0]
 
@@ -292,6 +290,8 @@ def test_full_cycle_datum_mixed():
         (P([5]), P([3, 1, 1])),
         (P([5]), P([2, 2, 1]), P([5])),
         (P([9]), P([3, 3, 3])),
+        (P([2, 2, 1]), P([2, 2, 1]), P([5])),
+        (P([3, 1, 1]), P([3, 1, 1]), P([3, 1, 1]), P([5])),
     ):
         d = parts[0].degree
         datum = BranchDatum("rp2", d, parts)
@@ -303,26 +303,30 @@ def test_full_cycle_datum_mixed():
         assert is_primitive([a, *us])[0]
 
 
-def test_full_cycle_datum_perturbation_branches():
-    # canonical placements of the two [2,2,1]s multiply to the identity and
-    # every cycle has length <= 2: the symbol-swap perturbation must fire
-    datum = BranchDatum("rp2", 5, (P([2, 2, 1]), P([2, 2, 1]), P([5])))
-    a, us = full_cycle_datum_construct(datum)
-    assert compose(a, a, *us).is_identity()
-    for u, p in zip(us, datum.partitions):
-        assert u.cycle_type() == p
-    assert is_primitive([a, *us])[0]
+def test_every_datum_containing_the_full_cycle_is_built_without_search(monkeypatch):
+    """Every strict datum with a branch point [d] is realized by the
+    fundamental construction; the full-cycle partner search never runs."""
 
-    # three identical 3-cycles multiply to the identity: the inversion
-    # perturbation must fire
-    datum = BranchDatum(
-        "rp2", 5, (P([3, 1, 1]), P([3, 1, 1]), P([3, 1, 1]), P([5]))
-    )
-    a, us = full_cycle_datum_construct(datum)
-    assert compose(a, a, *us).is_identity()
-    for u, p in zip(us, datum.partitions):
-        assert u.cycle_type() == p
-    assert is_primitive([a, *us])[0]
+    def no_search(*args):
+        raise AssertionError("full-cycle partner search reached")
+
+    monkeypatch.setattr(construct, "_full_cycle_partner_search", no_search)
+    count = 0
+    for d, max_s in ((5, 4), (7, 4), (9, 3)):
+        full = P([d])
+        usable = [p for p in partitions_of(d) if not p.is_trivial()]
+        memo: dict = {}
+        for s in range(2, max_s + 1):
+            for rest in combinations_with_replacement(usable, s - 1):
+                for pos in range(s):  # [d] once or more, in every position
+                    parts = (*rest[:pos], full, *rest[pos:])
+                    datum = BranchDatum("rp2", d, parts)
+                    if datum.nu % 2:
+                        continue
+                    cert = realize_rp2(datum, memo=memo)  # verified inside
+                    assert cert.u_images[pos].cycle_type() == full
+                    count += 1
+    assert count > 2000
 
 
 def test_full_cycle_datum_single_point():

@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from branchcover import eks
+from branchcover.construct import two_datum_construct
 from branchcover.eks import (
     EksError,
     _thread,
@@ -255,6 +256,45 @@ def test_product_defect_reduced_sweep(monkeypatch):
                 a, b = product_defect_reduced(A, B)
                 assert a.cycle_type() == A and b.cycle_type() == B
                 assert compose(a, b).nu() == (d - 1) - r % 2
+
+
+# every gated pair of degree <= 21 whose anchored split reserved the anchor,
+# a fixed point of lam, and so left the merge to the random search
+_ANCHOR_ON_A_FIXED_POINT = (
+    "[5,2,2,2,2,1,1];[3,3,3,3,3]",
+    "[5,2,2,2,2,2,1,1];[3,3,3,3,3,2]",
+    "[5,2,2,2,2,2,2,1,1,1,1];[3,3,3,3,3,3,3]",
+    "[5,2,2,2,2,2,2,1,1];[3,3,3,3,3,2,2]",
+    "[5,2,2,2,2,2,2,1,1];[3,3,3,3,3,3,1]",
+    "[5,2,2,2,2,2,2,2,1,1];[3,3,3,3,3,2,2,2]",
+    "[5,2,2,2,2,2,2,2,1,1];[3,3,3,3,3,3,2,1]",
+    "[5,2,2,2,2,2,2,2,2];[3,3,3,3,3,3,3]",
+    "[5,3,2,2,2,2,2,2,1];[3,3,3,3,3,3,3]",
+    "[6,2,2,2,2,2,2,2,1];[3,3,3,3,3,3,3]",
+    "[7,2,2,2,2,2,2,1,1];[3,3,3,3,3,3,3]",
+    "[7,3,2,2,2,2,1,1,1];[3,3,3,3,3,3,3]",
+    "[7,3,3,2,2,1,1,1,1];[3,3,3,3,3,3,3]",
+    "[7,3,3,3,1,1,1,1,1];[3,3,3,3,3,3,3]",
+    "[7,4,2,2,2,1,1,1,1];[3,3,3,3,3,3,3]",
+    "[7,4,3,2,1,1,1,1,1];[3,3,3,3,3,3,3]",
+    "[7,4,4,1,1,1,1,1,1];[3,3,3,3,3,3,3]",
+)
+
+
+def test_anchored_split_needs_no_random_merge(monkeypatch):
+    """When f = 1 would reserve an anchor that lam fixes, `_merge_split`
+    threads one part fewer so that the f-cycle takes the anchor."""
+    monkeypatch.setattr(eks, "_search_merge", _no_search)
+    pairs = [
+        tuple(Partition.parse(t) for t in text.split(";"))
+        for text in _ANCHOR_ON_A_FIXED_POINT
+    ]
+    for j in range(9):  # [5,2^(4+j),1,1];[3^5,2^j], d = 15..31
+        pairs.append((Partition([5, *[2] * (4 + j), 1, 1]), Partition([*[3] * 5, *[2] * j])))
+    for D1, D2 in pairs:
+        lam, beta, trace = two_datum_construct(D1, D2)  # checked at its exit
+        assert trace.merge.kind == "split", (D1, D2)
+        assert lam.cycle_type() == D1 and beta.cycle_type() == D2
 
 
 def test_factor_two_full_cycles_examples():
