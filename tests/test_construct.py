@@ -290,8 +290,6 @@ def test_full_cycle_datum_mixed():
         (P([5]), P([3, 1, 1])),
         (P([5]), P([2, 2, 1]), P([5])),
         (P([9]), P([3, 3, 3])),
-        (P([2, 2, 1]), P([2, 2, 1]), P([5])),
-        (P([3, 1, 1]), P([3, 1, 1]), P([3, 1, 1]), P([5])),
     ):
         d = parts[0].degree
         datum = BranchDatum("rp2", d, parts)
@@ -300,6 +298,22 @@ def test_full_cycle_datum_mixed():
         for u, p in zip(us, parts):
             assert u.cycle_type() == p
         assert is_transitive([a, *us])
+        assert is_primitive([a, *us])[0]
+
+
+def test_full_cycle_datum_perturbation_branches():
+    # data whose non-full partitions could multiply to the identity in a
+    # naive placement (two [2,2,1]s; three identical 3-cycles): the
+    # fundamental construction must still give a primitive certificate
+    for parts in (
+        (P([2, 2, 1]), P([2, 2, 1]), P([5])),
+        (P([3, 1, 1]), P([3, 1, 1]), P([3, 1, 1]), P([5])),
+    ):
+        datum = BranchDatum("rp2", 5, parts)
+        a, us = full_cycle_datum_construct(datum)
+        assert compose(a, a, *us).is_identity()
+        for u, p in zip(us, datum.partitions):
+            assert u.cycle_type() == p
         assert is_primitive([a, *us])[0]
 
 
