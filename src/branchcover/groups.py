@@ -6,9 +6,11 @@ block system, and scanning the pairs (first point, x) decides primitivity
 with an explicit witness when the group is imprimitive.
 
 Every question is answered from one representation: the 0-based forward
-image table of each generator (`Permutation._index_table`).  The orbit walk
-and the closure both run on it, and no inverse table is built.  An entry
-that needs a transitive group raises `IntransitiveError` for any other.
+image table of each generator (`Permutation._index_table`), built once per
+permutation and kept on it.  The orbit walks and the closure all run on it,
+and no inverse table is built.  Transitivity is one walk from the first
+point that only counts the points it reaches.  An entry that needs a
+transitive group raises `IntransitiveError` for any other.
 """
 
 from __future__ import annotations
@@ -68,8 +70,26 @@ def orbits(gens: Sequence[Permutation]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _reaches_all(tables, n: int) -> bool:
+    """Whether the orbit of index 0 under the 0-based image ``tables``
+    covers all n indices; False on an empty domain, which has no orbit."""
+    if not n:
+        return False
+    seen = bytearray(n)
+    seen[0] = 1
+    orbit = [0]
+    for x in orbit:  # the list grows while it is walked
+        for t in tables:
+            y = t[x]
+            if not seen[y]:
+                seen[y] = 1
+                orbit.append(y)
+    return len(orbit) == n
+
+
 def is_transitive(gens: Sequence[Permutation]) -> bool:
-    return len(orbits(gens)) == 1
+    dom = _check_gens(gens)
+    return _reaches_all([g._index_table() for g in gens], len(dom))
 
 
 def _block_closure(tables, dom: tuple[int, ...], a: int, b: int):
@@ -126,9 +146,9 @@ def minimal_block(gens: Sequence[Permutation], seed_pair: tuple[int, int]) -> tu
         raise GroupError("seed points must be distinct")
     if a not in dom or b not in dom:
         raise GroupError("seed points outside the domain")
-    if not is_transitive(gens):
-        raise IntransitiveError("minimal blocks are defined for transitive groups only")
     tables = [g._index_table() for g in gens]
+    if not _reaches_all(tables, len(dom)):
+        raise IntransitiveError("minimal blocks are defined for transitive groups only")
     classes = _block_closure(tables, dom, dom.index(a), dom.index(b))
     if classes is None:
         return dom
@@ -157,11 +177,11 @@ def is_primitive(
     d = len(dom)
     if d < 2:
         raise GroupError("primitivity needs at least two points")
-    if not is_transitive(gens):
+    tables = [g._index_table() for g in gens]
+    if not _reaches_all(tables, d):
         raise IntransitiveError("primitivity is defined for transitive groups only")
     if _largest_proper_divisor(d) == 1:
         return True, None
-    tables = [g._index_table() for g in gens]
     for x in range(1, d):
         classes = _block_closure(tables, dom, 0, x)
         if classes is None:

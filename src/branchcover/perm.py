@@ -23,6 +23,10 @@ it.  Derived results (``compose``, ``inverse``, ``conjugate``, and
 already validated domain by construction.  Their arithmetic runs on
 0-based index tables; for a domain other than 1..d the label-to-index map
 is built on first use and handed on to results on the same domain.
+
+The derived views of a permutation (its 0-based index table, its cycles
+and its cycle type) are built once per permutation, on first use, and kept
+on the object; a permutation is immutable, so they never go stale.
 """
 
 from __future__ import annotations
@@ -56,7 +60,9 @@ def _is_standard(dom: tuple[int, ...]) -> bool:
 class Permutation:
     """A bijection of a finite sorted label set, stored as an image table."""
 
-    __slots__ = ("domain", "images", "_std", "_pos", "_cycles", "_hash")
+    __slots__ = (
+        "domain", "images", "_std", "_pos", "_cycles", "_table", "_type", "_hash"
+    )
 
     def __init__(self, images: Sequence[int], domain: Iterable[int] | int | None = None):
         if domain is None:
@@ -76,6 +82,8 @@ class Permutation:
         self._std = _is_standard(domain)
         self._pos = pos
         self._cycles = None
+        self._table = None
+        self._type = None
         self._hash = None
 
     @classmethod
@@ -94,12 +102,15 @@ class Permutation:
             self._pos = {x: i for i, x in enumerate(self.domain)}
         return self._pos
 
-    def _index_table(self) -> list[int]:
-        """The image table on 0-based indices."""
-        if self._std:
-            return [y - 1 for y in self.images]
-        pos = self._positions()
-        return [pos[y] for y in self.images]
+    def _index_table(self) -> tuple[int, ...]:
+        """The image table on 0-based indices, built on first use."""
+        if self._table is None:
+            if self._std:
+                self._table = tuple([y - 1 for y in self.images])
+            else:
+                pos = self._positions()
+                self._table = tuple([pos[y] for y in self.images])
+        return self._table
 
     # -- construction helpers ------------------------------------------------
 
@@ -163,7 +174,10 @@ class Permutation:
         return tuple(c for c in self.cycles() if len(c) > 1)
 
     def cycle_type(self) -> "Partition":
-        return Partition(len(c) for c in self.cycles())
+        """The cycle lengths as a `Partition`, built on first use."""
+        if self._type is None:
+            self._type = Partition(len(c) for c in self.cycles())
+        return self._type
 
     def nu(self) -> int:
         """Defect: degree minus number of cycles."""

@@ -61,6 +61,11 @@ class HurwitzCertificate(_CertificateFields):
             raise ParseError("a-image present iff the base is the projective plane")
         if len(u_images) != len(datum.partitions):
             raise ParseError("one u-image per branch point required")
+        if datum.degree != degree:
+            raise ParseError("datum degree disagrees with the certificate degree")
+        images = u_images if a_image is None else (a_image, *u_images)
+        if any(p.degree != degree or not p._std for p in images):
+            raise ParseError(f"generator images must act on 1..{degree}")
         return super().__new__(cls, base, degree, datum, a_image, u_images)
 
     @classmethod
@@ -237,6 +242,8 @@ def certificate_from_text(text: str) -> HurwitzCertificate:
                 u_lines.append((int(key[2:-1]), value.strip()))
             except ValueError as exc:
                 raise ParseError(f"malformed u index in {raw!r}") from exc
+        elif key in fields:
+            raise ParseError(f"repeated field {key!r} in {raw!r}")
         else:
             fields[key] = value.strip()
     try:

@@ -413,6 +413,24 @@ def test_verify_cycle_repeating_a_label_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("parse error: ") and "label 1 repeated" in err
 
 
+@pytest.mark.parametrize(
+    "line, field",
+    [("a: (1 2)\n", "a"), ("degree: 7\n", "degree")],
+    ids=["a", "degree"],
+)
+def test_verify_repeated_field_is_a_parse_error(tmp_path, capsys, line, field):
+    """A wrong line ahead of the correct one is refused, not overwritten."""
+    text = realize.certificate_to_text(
+        realize.realize_rp2(construct.parse_datum("[3,2];[3,2]", "rp2"))
+    )
+    at = text.index(f"{field}: ")
+    path = tmp_path / "cert"
+    path.write_text(text[:at] + line + text[at:])
+    code, out, err = run(capsys, "verify", "--certificate", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("parse error: ") and f"repeated field {field!r}" in err
+
+
 def test_single_branch_negative_degree(capsys):
     code, out, err = run(capsys, "single-branch", "--degree", "-3")
     assert code == 2 and out == ""

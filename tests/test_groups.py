@@ -256,3 +256,81 @@ def test_decomposability_verdict_examples():
     assert decomposability_verdict(gens("(1 2 3 4 5)", d=5)) == ("indecomposable", None)
     with pytest.raises(GroupError):
         decomposability_verdict(gens("(1 2)", d=4))
+
+
+def _reference_is_primitive(gs):
+    """`is_primitive` with transitivity taken from the orbit partition, as it
+    was decided before the counting walk: the orbits, the prime exit, then
+    the closure scan over x = 1..d-1."""
+    dom = gs[0].domain
+    d = len(dom)
+    if d < 2:
+        raise GroupError("primitivity needs at least two points")
+    if len(orbits(gs)) != 1:
+        raise IntransitiveError("primitivity is defined for transitive groups only")
+    if groups._largest_proper_divisor(d) == 1:
+        return True, None
+    tables = [g._index_table() for g in gs]
+    for x in range(1, d):
+        classes = _block_closure(tables, dom, 0, x)
+        if classes is None:
+            continue
+        sizes = {len(c) for c in classes}
+        if len(sizes) != 1:
+            raise GroupError("closure classes of a transitive group differ in size")
+        size = sizes.pop()
+        if d % size != 0:
+            raise GroupError(f"block size {size} does not divide the degree {d}")
+        return False, groups.BlockSystem(degree=d, blocks=classes, block_size=size)
+    return True, None
+
+
+def _outcome(test, gs):
+    try:
+        return test(gs)
+    except GroupError as exc:
+        return type(exc), str(exc)
+
+
+def _split_gens(rng, dom, k):
+    """k random permutations of dom that each keep one random split of dom
+    into two parts, so the span is intransitive."""
+    shuffled = rng.sample(dom, len(dom))
+    cut = rng.randint(1, len(dom) - 1)
+    parts = shuffled[:cut], shuffled[cut:]
+    out = []
+    for _ in range(k):
+        mapping = {}
+        for part in parts:
+            mapping.update(zip(part, rng.sample(part, len(part))))
+        out.append(Permutation.from_mapping(mapping, dom))
+    return out
+
+
+@pytest.mark.parametrize("gapped", [False, True])
+def test_counting_walk_matches_the_orbit_partition(gapped):
+    """`is_transitive` agrees with the orbit count, and `is_primitive` gives
+    the verdict, witness and errors of the orbit-then-scan reference, on
+    seeded generator sets with one or no orbit."""
+    primes = (2, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    rng = random.Random(47 if gapped else 43)
+    counts = {"transitive": 0, "intransitive": 0, "imprimitive": 0}
+    for _ in range(320):
+        d = rng.randint(0, 12)
+        dom = list(primes[:d] if gapped else range(1, d + 1))
+        k = rng.randint(1, 3)
+        if d >= 2 and rng.random() < 0.3:
+            gs = _split_gens(rng, dom, k)
+        elif d:
+            gs = _random_gens(rng, dom, k)
+        else:
+            gs = [Permutation(())] * k
+        transitive = len(orbits(gs)) == 1
+        assert is_transitive(gs) == transitive
+        counts["transitive" if transitive else "intransitive"] += 1
+        got = _outcome(is_primitive, gs)
+        assert got == _outcome(_reference_is_primitive, gs)
+        if got[0] is False:
+            counts["imprimitive"] += 1
+    assert counts["intransitive"] >= 50
+    assert counts["transitive"] >= 50 and counts["imprimitive"] >= 20

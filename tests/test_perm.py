@@ -323,6 +323,28 @@ def test_derived_permutations_pass_the_public_validator():
                 assert [r(x) for x in r.domain] == list(r.images)
 
 
+@pytest.mark.parametrize("dom", [tuple(range(1, 8)), (2, 5, 7, 11, 12, 20, 31)])
+def test_index_table_and_cycle_type_are_built_once(dom):
+    """Each view is built on first use and kept: the same object on a
+    second call, equal to a fresh computation, and empty again on every
+    result derived from the permutation."""
+    rng = random.Random(len(dom) + dom[0])
+    for _ in range(20):
+        imgs = list(dom)
+        rng.shuffle(imgs)
+        p = Permutation(tuple(imgs), dom)
+        table = p._index_table()
+        assert type(table) is tuple and p._index_table() is table
+        assert table == tuple(dom.index(p(x)) for x in dom)
+        ctype = p.cycle_type()
+        assert p.cycle_type() is ctype
+        assert ctype == Partition(len(c) for c in p.cycles())
+        for r in (compose(p, p), p.inverse(), conjugate(p, p.inverse())):
+            assert r._table is None and r._type is None
+            assert r._index_table() == tuple(dom.index(r(x)) for x in dom)
+            assert r.cycle_type() == Partition(len(c) for c in r.cycles())
+
+
 def test_canonical_in_class():
     p = canonical_in_class(Partition([3, 2]), 5)
     assert p == parse_cycles("(1 2 3)(4 5)", 5)

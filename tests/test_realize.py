@@ -215,13 +215,13 @@ def test_verifier_valid_decomposable_cyclic():
 
 def test_verdicts_search_orbits_once(monkeypatch):
     searches = []
-    original = groups.orbits
+    original = groups._reaches_all
 
-    def counting(gens):
-        searches.append(gens)
-        return original(gens)
+    def counting(tables, n):
+        searches.append(n)
+        return original(tables, n)
 
-    monkeypatch.setattr(groups, "orbits", counting)
+    monkeypatch.setattr(groups, "_reaches_all", counting)
     cert = realize_rp2(parse_datum("[3,2];[3,2]", "rp2"))
     searches.clear()
     assert verify_certificate(cert).verdict == "valid-indecomposable"

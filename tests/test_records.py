@@ -224,3 +224,27 @@ def test_validated_record_has_no_unchecked_copy(name):
             assert rebuild_args == tuple(getattr(rec, f) for f in fields)
             with pytest.raises(error):
                 rebuild(*args)
+
+
+@pytest.mark.parametrize(
+    "degree, a_image, u_images, message",
+    [
+        (7, _P, (_P,), "datum degree disagrees with the certificate degree"),
+        (3, from_cycles([(1, 2, 3, 4)], 4), (_P,), "generator images must act on 1..3"),
+        (3, _P, (from_cycles([(2, 3, 4)], (2, 3, 4)),), "generator images must act on 1..3"),
+    ],
+    ids=["degree", "a-domain", "u-gapped-domain"],
+)
+def test_certificate_checks_its_degree(degree, a_image, u_images, message):
+    """The degree line, the datum and every image agree on 1..degree, on
+    every construction path."""
+    fields = ("rp2", degree, _D3, a_image, u_images)
+    good = HurwitzCertificate("rp2", 3, _D3, _P, (_P,))
+    for build in (
+        lambda: HurwitzCertificate(*fields),
+        lambda: HurwitzCertificate._make(fields),
+        lambda: good._replace(degree=degree, a_image=a_image, u_images=u_images),
+    ):
+        with pytest.raises(ParseError) as info:
+            build()
+        assert str(info.value) == message
