@@ -332,9 +332,7 @@ def _case2(A: Partition, B: Partition, d: int, seed: int):
         return None
     if len(B.parts) < 2 or B.parts[1] < 2:
         raise EksError("second part of the partner partition must exceed 1 here")
-    d2 = B.parts[1]
-    if d2 not in (2, 3):
-        return None
+    d2 = B.parts[1]  # 2 or 3: only b1 == 3 reaches here
 
     starts = _cycle_starts(A)
     a11, a12 = starts[0], starts[0] + 1

@@ -22,13 +22,14 @@ path, `_merge_split`, serves every merge, anchored or not: it threads the
 smallest parts of the target while their defect fits, which is the whole
 target when there is no surplus defect (merge kind 'threading'); otherwise
 the even remainder is realized as a conjugated product of two full cycles
-(merge kind 'split').  Seeded randomized search builds outputs in one
-place, the two-full-cycle factorization (`_factor_two_cycles_rng`, backed
-by an exhaustive backtrack).  Two fallbacks remain: that of the merge
-(`_search_merge`, which no gated two-partition datum of degree up to 21
-reaches) and that of exact threading (`_search_defect`, which threading
-never leaves to fire).  Outputs are always checked, so a fallback that does
-fire still carries correctness.
+(merge kind 'split').  The two-full-cycle factorization
+(`_factor_two_cycles_rng`) tries seeded random full cycles first, which
+keep certificates as they were, and ends with an explicit O(n)
+construction (`_factor_explicit`), so it always returns.  Two fallbacks
+remain: that of the merge (`_search_merge`, which no gated two-partition
+datum of degree up to 21 reaches) and that of exact threading
+(`_search_defect`, which threading never leaves to fire).  Outputs are
+always checked, so a fallback that does fire still carries correctness.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .perm import (
     from_cycles,
     project,
     random_in_class,
+    sqrt_odd_cycle,
 )
 
 
@@ -290,10 +292,7 @@ def _merge_split(lam: Permutation, target: Partition, anchor, rng):
     t2_parts = list(tail)
     t2_parts[j_idx] = tail[j_idx] - f + 1
     tau = _canonical_tau(t2_parts, j_idx, star, us)
-    fac = _factor_two_cycles_rng(tau, rng)
-    if fac is None:
-        return None
-    sigma, gamma = fac
+    sigma, gamma = _factor_two_cycles_rng(tau, rng)
     pi_cycle = next(c for c in pi.cycles() if len(c) == len(sub))
     eta = aligning_conjugator(sigma, pi_cycle, star)
     beta_second = conjugate(tau, eta)
@@ -460,10 +459,7 @@ def factor_two_full_cycles(
         raise EksError("trivial permutation: factorization hypothesis needs nu > 0")
     if tau.nu() % 2 != 0:
         raise EksError("odd permutation is not a product of two full cycles")
-    got = _factor_two_cycles_rng(tau, random.Random(seed))
-    if got is None:
-        raise EksError("internal factor search exhausted (defect)")
-    return got
+    return _factor_two_cycles_rng(tau, random.Random(seed))
 
 
 def _factor_two_cycles_rng(tau, rng):
@@ -475,72 +471,48 @@ def _factor_two_cycles_rng(tau, rng):
         sigma = compose(tau, gamma.inverse())
         if len(sigma.cycles()) == 1:
             return sigma, gamma
-    return _factor_backtrack(tau)
+    return _factor_explicit(tau)
 
 
-def _factor_backtrack(tau):
-    """Depth-first construction of gamma as a cyclic sequence, pruning on the
-    partial sigma = tau * gamma^-1 closing a short cycle."""
+def _factor_explicit(tau):
+    """Full cycles (sigma, gamma) with sigma*gamma == tau for any even tau,
+    written down in one pass (Bertram 1972).
+
+    Each piece of the point set gets its own pair: an odd cycle c (a fixed
+    point included) its square root r twice, since r*r == c; two even
+    cycles a = (a1..ap) and b = (b1..bq), paired in cycle order,
+    gamma_i = (a1 b1 a2 b2 ap..a3 bq..b3) and sigma_i = ab * gamma_i^-1,
+    a (p+q)-cycle.  The cycle J through the first point of every piece
+    joins them: sigma = prod(sigma_i) * J and gamma = J^-1 * prod(gamma_i).
+    """
+    sig: dict[int, int] = {}
+    gam: dict[int, int] = {}
+    heads: list[int] = []
+    evens = []
+    for c in tau.cycles():
+        if len(c) % 2 == 0:
+            evens.append(c)
+            continue
+        r = sqrt_odd_cycle(from_cycles([c], sorted(c))).cycles()[0]
+        heads.append(r[0])
+        for x, y in zip(r, r[1:] + r[:1]):
+            sig[x] = gam[x] = y
+    for a, b in zip(evens[::2], evens[1::2]):
+        g = (a[0], b[0], a[1], b[1], *a[:1:-1], *b[:1:-1])
+        heads.append(g[0])
+        g_next = g[1:] + g[:1]
+        back = dict(zip(g_next, g))
+        for x, y in zip(g, g_next):
+            gam[x] = y
+            sig[x] = back[tau(x)]
+    join = dict(zip(heads, heads[1:] + heads[:1]))
+    unjoin = {y: x for x, y in join.items()}
     dom = tau.domain
-    n = len(dom)
-    if n == 1:
-        return None
-    tinv = tau.inverse()
-    seq = [dom[0]]
-    used = {dom[0]}
-    # sigma links: placing seq[i+1] = v fixes sigma(tinv(v)) = seq[i]
-    nxt: dict[int, int] = {}
-    prv: dict[int, int] = {}
-
-    def path_end(x):
-        while x in nxt:
-            x = nxt[x]
-        return x
-
-    def rec():
-        if len(seq) == n:
-            u = tinv(seq[0])
-            w = seq[-1]
-            if u in nxt or w in prv:
-                return None
-            links = dict(nxt)
-            links[u] = w
-            x, cnt = dom[0], 0
-            while cnt < n:
-                if x not in links:
-                    return None
-                x = links[x]
-                cnt += 1
-            if x != dom[0] or len(links) != n:
-                return None
-            gamma = from_cycles([tuple(seq)], dom)
-            sigma = compose(tau, gamma.inverse())
-            if len(sigma.cycles()) == 1:
-                return sigma, gamma
-            return None
-        for v in dom:
-            if v in used:
-                continue
-            u = tinv(v)
-            w = seq[-1]
-            if u in nxt or w in prv or u == w:
-                continue
-            if path_end(w) == u:
-                continue  # the link u -> w would close a short sigma-cycle
-            nxt[u] = w
-            prv[w] = u
-            seq.append(v)
-            used.add(v)
-            got = rec()
-            if got is not None:
-                return got
-            seq.pop()
-            used.remove(v)
-            del nxt[u]
-            del prv[w]
-        return None
-
-    return rec()
+    sigma = Permutation([join.get(sig[x], sig[x]) for x in dom], dom)
+    gamma = Permutation([gam[unjoin.get(x, x)] for x in dom], dom)
+    if len(sigma.cycles()) != 1 or len(gamma.cycles()) != 1 or compose(sigma, gamma) != tau:
+        raise EksError("explicit factorization output is not two full cycles over tau")
+    return sigma, gamma
 
 
 def aligning_conjugator(

@@ -111,8 +111,6 @@ def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCerti
     check of every certificate; a product with no such square root fails it
     too.
     """
-    if datum.base != "rp2":
-        raise InadmissibleError("datum is not over the projective plane")
     d = datum.degree
     _require_constructible(datum)
     if len(datum.partitions) == 1:
@@ -242,6 +240,8 @@ def certificate_from_text(text: str) -> HurwitzCertificate:
                 u_lines.append((int(key[2:-1]), value.strip()))
             except ValueError as exc:
                 raise ParseError(f"malformed u index in {raw!r}") from exc
+        elif key not in ("base", "degree", "datum", "a"):
+            raise ParseError(f"unknown field {key!r} in {raw!r}")
         elif key in fields:
             raise ParseError(f"repeated field {key!r} in {raw!r}")
         else:

@@ -431,6 +431,23 @@ def test_verify_repeated_field_is_a_parse_error(tmp_path, capsys, line, field):
     assert err.startswith("parse error: ") and f"repeated field {field!r}" in err
 
 
+@pytest.mark.parametrize(
+    "line, field",
+    [("A: (1 2)\n", "A"), ("signature: trust me\n", "signature")],
+    ids=["A", "signature"],
+)
+def test_verify_unknown_field_is_a_parse_error(tmp_path, capsys, line, field):
+    """A line the format does not define is refused, not ignored."""
+    text = realize.certificate_to_text(
+        realize.realize_rp2(construct.parse_datum("[3,2];[3,2]", "rp2"))
+    )
+    path = tmp_path / "cert"
+    path.write_text(text + line)
+    code, out, err = run(capsys, "verify", "--certificate", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("parse error: ") and f"unknown field {field!r}" in err
+
+
 def test_single_branch_negative_degree(capsys):
     code, out, err = run(capsys, "single-branch", "--degree", "-3")
     assert code == 2 and out == ""

@@ -1,6 +1,7 @@
 """The merge, defect-control, and two-full-cycle factorization toolbox."""
 
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -326,6 +327,69 @@ def test_factor_deterministic_given_seed():
     assert factor_two_full_cycles(tau, seed=4) == factor_two_full_cycles(tau, seed=4)
     tau_pinned = factor_two_full_cycles(tau, seed=0)
     assert compose(*tau_pinned) == tau
+
+
+def _is_two_full_cycles_of(tau, pair):
+    sigma, gamma = pair
+    return (
+        len(sigma.cycles()) == 1
+        and len(gamma.cycles()) == 1
+        and compose(sigma, gamma) == tau
+    )
+
+
+def test_factor_explicit_every_even_permutation_to_eight():
+    count = 0
+    for n in range(2, 9):
+        for imgs in permutations(range(1, n + 1)):
+            tau = Permutation(imgs)
+            if tau.is_identity() or tau.nu() % 2 != 0:
+                continue
+            assert _is_two_full_cycles_of(tau, eks._factor_explicit(tau)), tau
+            count += 1
+    assert count == 23109
+
+
+def test_factor_explicit_even_cycle_pairs():
+    for p in range(2, 41, 2):
+        for q in range(2, 41, 2):
+            tau = from_cycles([range(1, p + 1), range(p + 1, p + q + 1)], p + q)
+            assert _is_two_full_cycles_of(tau, eks._factor_explicit(tau)), (p, q)
+
+
+def test_factor_explicit_on_a_gapped_domain():
+    tau = from_cycles([(3, 9), (5, 12), (7, 20, 31)], (3, 5, 7, 9, 12, 20, 31, 40))
+    assert _is_two_full_cycles_of(tau, eks._factor_explicit(tau))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [10**4, 10**4 + 1])
+def test_factor_explicit_at_scale(n):
+    rng = random.Random(n)
+    imgs = list(range(1, n + 1))
+    rng.shuffle(imgs)
+    if Permutation(imgs).nu() % 2:
+        imgs[0], imgs[1] = imgs[1], imgs[0]
+    tau = Permutation(imgs)
+    start = time.perf_counter()
+    pair = eks._factor_explicit(tau)
+    assert time.perf_counter() - start < 1.0
+    assert _is_two_full_cycles_of(tau, pair)
+
+
+@pytest.mark.parametrize("n", [9, 15])
+def test_factor_returns_when_every_seeded_trial_fails(monkeypatch, n):
+    """With gamma == tau on every trial, tau * gamma^-1 is the identity, so
+    only the explicit construction can answer."""
+    tau = canonical_in_class(Partition([n]), n)
+    monkeypatch.setattr(eks, "random_in_class", lambda cls, dom, rng: tau)
+    assert _is_two_full_cycles_of(tau, factor_two_full_cycles(tau))
+
+
+def test_factor_explicit_output_check_survives_without_asserts(monkeypatch):
+    monkeypatch.setattr(eks, "sqrt_odd_cycle", lambda p: p)
+    with pytest.raises(EksError, match="explicit factorization"):
+        eks._factor_explicit(parse_cycles("(1 2 3)(4 5 6 7 8)", 9))
 
 
 def test_aligning_conjugator():
