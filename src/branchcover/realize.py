@@ -7,6 +7,15 @@ is absent and the u-images multiply to the identity.  The verifier
 re-derives every claim (relation, per-point cycle types, transitivity,
 primitivity, Euler characteristic) from the certificate alone, never
 reusing builder state.
+
+Primitivity may be settled by a subgroup.  A group containing a transitive
+primitive subgroup is itself transitive and primitive, because each of its
+block systems is one of the subgroup too.  Given a memo, the verifier first
+tests the subgroup ⟨u_1 u_2, u_3, ..., a⟩, built from the certificate's own
+images; the data of one census share such subgroups as they share their
+reductions, so the memo keeps subgroup verdicts, never a certificate's own.
+Only when that verdict is not "transitive and primitive" is the whole group
+tested, as it always is without a memo.
 """
 
 from __future__ import annotations
@@ -124,7 +133,7 @@ def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCerti
     cert = HurwitzCertificate(
         base="rp2", degree=d, datum=datum, a_image=a, u_images=tuple(us)
     )
-    report = verify_certificate(cert)
+    report = verify_certificate(cert, memo=memo)
     if report.verdict != "valid-indecomposable":
         raise VerificationError(f"self-verification failed: {report.verdict}")
     return cert
@@ -159,8 +168,30 @@ def realize_sphere(datum: BranchDatum, seed: int = 0) -> HurwitzCertificate:
     return cert
 
 
-def verify_certificate(cert: HurwitzCertificate) -> VerificationReport:
-    """Re-derive every claim of the certificate independently of its builder."""
+def _group_verdict(*gens: Permutation) -> tuple[bool, bool]:
+    """(transitive, primitive) of the group the generators span, by the exact
+    test; `is_primitive` searches the orbits once and reports intransitivity."""
+    try:
+        return True, is_primitive(gens)[0]
+    except IntransitiveError:
+        return False, False
+    except GroupError:  # one point, or closure classes of unequal size
+        return True, False
+
+
+def verify_certificate(cert: HurwitzCertificate, memo=None) -> VerificationReport:
+    """Re-derive every claim of the certificate independently of its builder.
+
+    ``memo`` is a dict the caller owns (see `construct._shared`).  With a
+    memo and at least four generators, the verdict on the subgroup
+    ⟨u_1 u_2, u_3, ..., a⟩ is looked up there or computed and kept.  When it
+    reads transitive and primitive, so is the certificate's group, which
+    contains that subgroup: a block system of a group is a block system of
+    each of its subgroups (Wielandt, *Finite Permutation Groups*, 1964).
+    Otherwise, or with no memo, the whole group is tested, once.  The rule
+    only ever settles "primitive", so the report is the same with or
+    without a memo.
+    """
     chi = euler_characteristic(cert.base, cert.degree, cert.datum.nu)
 
     if cert.base == "rp2":
@@ -173,17 +204,16 @@ def verify_certificate(cert: HurwitzCertificate) -> VerificationReport:
         u.cycle_type() == p for u, p in zip(cert.u_images, cert.datum.partitions)
     )
 
-    gens = list(cert.u_images)
+    gens = cert.u_images
     if cert.a_image is not None:
-        gens.append(cert.a_image)
-    # is_primitive searches the orbits once and reports intransitivity
-    transitive = True
-    try:
-        primitive, _ = is_primitive(gens)
-    except IntransitiveError:
-        transitive = primitive = False
-    except GroupError:  # one point, or closure classes of unequal size
-        primitive = False
+        gens = (*gens, cert.a_image)
+    # with three generators the merged subgroup is cyclic where the relation holds
+    if memo is not None and len(gens) >= 4 and _shared(
+        memo, _group_verdict, compose(gens[0], gens[1]), *gens[2:]
+    ) == (True, True):
+        transitive = primitive = True
+    else:
+        transitive, primitive = _group_verdict(*gens)
 
     if not relation_ok:
         verdict, reason = "invalid", "relation violated"

@@ -216,9 +216,9 @@ def _count_verifications(monkeypatch):
     calls = []
     original = realize.verify_certificate
 
-    def counting(cert):
+    def counting(cert, memo=None):
         calls.append(cert)
-        return original(cert)
+        return original(cert, memo=memo)
 
     for module in (realize, cli, oracle):
         if getattr(module, "verify_certificate", None) is original:
@@ -238,7 +238,7 @@ def test_each_certificate_verified_once(monkeypatch, capsys):
 
 
 def test_realize_failed_self_verification(monkeypatch, capsys):
-    def decomposable(cert):
+    def decomposable(cert, memo=None):
         return VerificationReport(True, True, True, False, 0, "valid-decomposable")
 
     monkeypatch.setattr(realize, "verify_certificate", decomposable)

@@ -218,6 +218,26 @@ def test_census_shares_pairs_within_one_call_only(monkeypatch):
     assert 0 < per_call == len(set(calls)) < first
 
 
+def test_census_settles_most_verdicts_from_a_shared_subgroup(monkeypatch):
+    """The verifier reuses, within one census call, the verdict of the
+    subgroup with two generators merged, so it runs the exact test for fewer
+    than half the certificates; a second call starts again."""
+    calls = []
+    original = realize.is_primitive
+
+    def counting(gens):
+        calls.append(gens)
+        return original(gens)
+
+    monkeypatch.setattr(realize, "is_primitive", counting)
+    constructed = sum(row.classification == "constructed" for row in census(7, 3))
+    per_call = len(calls)
+    calls.clear()
+    assert sum(row.classification == "constructed" for row in census(7, 3)) == constructed
+    assert len(calls) == per_call
+    assert 0 < per_call < constructed / 2
+
+
 def _counted(log, fn):
     def counting(*args):
         log.append(args)

@@ -7,11 +7,18 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from branchcover import construct, groups
+from branchcover import construct, groups, realize
 from branchcover.construct import BranchDatum, parse_datum
 from branchcover.errors import InadmissibleError, ParseError
 from branchcover.oracle import census, partitions_of
-from branchcover.perm import Partition, compose, identity, parse_cycles, sqrt_odd_cycle
+from branchcover.perm import (
+    Partition,
+    Permutation,
+    compose,
+    identity,
+    parse_cycles,
+    sqrt_odd_cycle,
+)
 from branchcover.realize import (
     HurwitzCertificate,
     admissible,
@@ -230,6 +237,118 @@ def test_verdicts_search_orbits_once(monkeypatch):
     gamma = parse_cycles("(1 2 3 4 5 6 7 8 9)", 9)
     assert groups.decomposability_verdict([gamma])[0] == "decomposable"
     assert len(searches) == 1
+
+
+def _keeping(rng, d, parts, move_parts):
+    """A random permutation of 1..d that keeps the system ``parts``: each
+    part goes onto itself, or onto a random part when ``move_parts`` (the
+    parts then have equal size)."""
+    targets = rng.sample(parts, len(parts)) if move_parts else parts
+    mapping = {}
+    for src, dst in zip(parts, targets):
+        mapping.update(zip(src, rng.sample(dst, len(dst))))
+    return Permutation.from_mapping(mapping, d)
+
+
+def _closed(d, a, us):
+    """The rp2 certificate with images a, *us and a last u-image closing the
+    relation, its datum read off the cycle types; None when one is trivial."""
+    us = (*us, compose(a, a, *us).inverse())
+    types = tuple(u.cycle_type() for u in us)
+    if any(t.is_trivial() for t in types):
+        return None
+    datum = BranchDatum(base="rp2", degree=d, partitions=types)
+    return HurwitzCertificate(base="rp2", degree=d, datum=datum, a_image=a, u_images=us)
+
+
+def _verifier_sequence(rng, d):
+    """(kind, certificate) pairs at degree d: constructed with s = 3 and 4,
+    wreath-product (imprimitive) and intransitive sets of four or five
+    generators, primitive groups whose merged subgroup is not, and tampered
+    certificates."""
+    m = min(k for k in range(3, d) if d % k == 0)
+    blocks = [tuple(range(i, i + m)) for i in range(1, d + 1, m)]
+    cut = rng.randint(2, d - 2)
+    halves = [tuple(range(1, cut + 1)), tuple(range(cut + 1, d + 1))]
+    keep = {"wreath": (blocks, True), "intransitive": (halves, False)}
+    out = []
+    for s in (3, 4):
+        stream = _admissible_stream(rng.randrange(10**6), d, s)
+        out += [("constructed", realize_rp2(next(stream))) for _ in range(2)]
+    for kind, (parts, move) in keep.items():
+        for s in (3, 4):
+            cert = None
+            while cert is None:
+                gens = [_keeping(rng, d, parts, move) for _ in range(s)]
+                cert = _closed(d, gens[0], gens[1:])
+            out.append((kind, cert))
+            # u1 is free, u1 u2 and the rest keep the parts
+            cert = None
+            while cert is None:
+                a, w, *rest = (_keeping(rng, d, parts, move) for _ in range(s - 1))
+                u1 = Permutation(tuple(rng.sample(range(1, d + 1), d)), d)
+                cert = _closed(d, a, (u1, compose(u1.inverse(), w), *rest))
+            out.append(("merged-" + kind, cert))
+    for _, cert in out[:4]:
+        i = rng.randrange(len(cert.u_images))
+        us = list(cert.u_images)
+        while us[i] == cert.u_images[i]:  # a changed factor breaks the relation
+            x, y = rng.sample(range(1, d + 1), 2)
+            swap = Permutation.from_mapping({x: y, y: x}, d)
+            us[i] = compose(swap, cert.u_images[i], swap)
+        out.append(("relation-broken", cert._replace(u_images=tuple(us))))
+        parts = list(cert.datum.partitions)
+        wrong = parts[i]
+        while wrong == parts[i]:
+            wrong = _random_partition(rng, d)
+        parts[i] = wrong
+        datum = cert.datum._replace(partitions=tuple(parts))
+        out.append(("cycle-type-wrong", cert._replace(datum=datum)))
+    return out
+
+
+def test_merged_subgroup_rule_never_changes_a_report(monkeypatch):
+    """Every report is the same whether the verifier shares one memo across
+    the whole sequence or has none, and without a memo each certificate
+    costs one exact test."""
+    rng = random.Random(16)
+    sequence = [c for d in (9, 15, 21, 25) for c in _verifier_sequence(rng, d)]
+    rng.shuffle(sequence)
+    tests = []
+    original = realize.is_primitive
+
+    def counting(gens):
+        tests.append(gens)
+        return original(gens)
+
+    monkeypatch.setattr(realize, "is_primitive", counting)
+    memo = {}
+    seen = set()
+    for kind, cert in sequence:
+        shared = verify_certificate(cert, memo=memo)
+        tests.clear()
+        alone = verify_certificate(cert)
+        assert len(tests) == 1
+        assert shared == alone, kind
+        u1, u2, *rest = cert.u_images
+        merged = realize._group_verdict(compose(u1, u2), *rest, cert.a_image)
+        if kind in ("constructed", "merged-wreath", "merged-intransitive"):
+            assert alone.verdict == "valid-indecomposable", kind
+        elif kind in ("wreath", "intransitive"):
+            assert alone.verdict != "valid-indecomposable", kind
+            assert merged != (True, True) and not alone.primitive
+        else:
+            assert alone.verdict == "invalid", kind
+        if kind.startswith("merged-"):
+            assert merged != (True, True)  # the full scan settles these
+        seen.add((kind, merged == (True, True)))
+    assert {
+        ("constructed", True),
+        ("merged-wreath", False),
+        ("merged-intransitive", False),
+        ("relation-broken", True),
+        ("cycle-type-wrong", True),
+    } <= seen
 
 
 def test_verifier_chi_arithmetic():
