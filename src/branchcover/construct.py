@@ -13,11 +13,12 @@ golden table, or one of three deletion cases.  Each deletion case only
 chooses a partial partner beta0 on two to six deleted points, the reduced
 target and (case 1) an anchor; `_reinsert` merges lam*beta0 on the kept
 points into a full cycle and re-inserts the deleted points.
-`reduce_collection` and `fundamental_construct` extend this to arbitrarily
-many partitions by merging the first two with controlled product defect
-and recursing.  A datum containing the full-cycle partition [d] needs no
-rule of its own: with s >= 2 branch points it is strict and the same
-recursion realizes it.  Only the single branch point {[d]} is special, and
+`fundamental_construct` extends this to any number of partitions: one loop
+merges two at a time with controlled product defect until two remain,
+builds their pair and unwinds the merges by explicit Hurwitz moves.  A
+datum containing the full-cycle partition [d] needs no rule of its own:
+with s >= 2 branch points it is strict and the same loop realizes it.
+Only the single branch point {[d]} is special, and
 `full_cycle_datum_construct` realizes it by the canonical d-cycle when d is
 prime (`single_branch_verdict`).
 
@@ -26,9 +27,9 @@ checks that `python -O` keeps: `two_datum_construct` and
 `fundamental_construct` check the class of each factor, the product's cycle
 type, transitivity and primitivity; `full_cycle_datum_construct` checks the
 representation relation.  The golden table passes the same output check
-when it is loaded.  A failed check raises `EksError`.  The recursion
-`_build` checks no level; `realize` calls it and leaves the one check of a
-certificate to its independent verifier.
+when it is loaded.  A failed check raises `EksError`.  The loop `_build`
+neither gates nor checks a step; `realize` calls it and leaves the one
+check of a certificate to its independent verifier.
 
 Data with many branch points share most of their reduction subtrees.
 `fundamental_construct` and `reduce_collection` take an optional `memo`, a
@@ -486,58 +487,47 @@ class ReductionStep(NamedTuple):
     product: Permutation  # gamma1 * gamma2, of the type of reduced's first partition
 
 
+def _merge_rule(top, nu, d):
+    """(i1, i2, factor): the pair among the first three partitions ``top`` of
+    a gated datum of defect ``nu`` that a reduction step merges, and the
+    `product_defect_*` step its excess over d-1 picks.  It is (0, 1) unless
+    the rest carries one spare transposition; then the heavier of the first
+    two stays out, so that the reduced datum clears the gate."""
+    i1, i2 = 0, 1
+    if nu - top[0].nu - top[1].nu == 1:
+        i1, i2 = (1 if top[0].nu > 1 else 0), 2
+    r = top[i1].nu + top[i2].nu - (d - 1)
+    return i1, i2, product_defect_exact if r <= 0 else product_defect_reduced
+
+
 def reduce_collection(datum: BranchDatum, seed: int = 0, *, memo=None) -> ReductionStep:
     """Merge two partitions of the datum into the cycle type of a product
     with controlled defect, preserving the admissibility gate.  ``memo``:
     see `_shared`."""
     _require_constructible(datum)
-    if len(datum.partitions) < 3:
+    parts = datum.partitions
+    if len(parts) < 3:
         raise InadmissibleError("reduction needs at least three partitions")
-    d = datum.degree
-    parts = list(datum.partitions)
-
-    i1, i2 = 0, 1
-    rest_nu = sum(p.nu for p in parts[2:])
-    if rest_nu == 1:
-        # exactly one spare transposition: keep a defect-heavy partition out
-        # of the merged pair so the reduced datum clears the gate
-        heavy = 0 if parts[0].nu > 1 else 1
-        i1, i2 = 1 - heavy, 2
-
-    A, B = parts[i1], parts[i2]
-    keep_idx = [i for i in range(len(parts)) if i not in (i1, i2)]
-    tail_nu = sum(parts[i].nu for i in keep_idx)
-    q = (datum.nu - (d - 1)) // 2
-    r = 2 * q - tail_nu
-    factor = product_defect_exact if r <= 0 else product_defect_reduced
-    gamma1, gamma2, product, D = _shared(memo, _reduction, factor, A, B, seed)
-    reduced = BranchDatum(
-        base=datum.base,
-        degree=d,
-        partitions=(D, *(parts[i] for i in keep_idx)),
-    )
-    return ReductionStep(
-        reduced=reduced, gamma1=gamma1, gamma2=gamma2, merged=(i1, i2), product=product
-    )
+    i1, i2, factor = _merge_rule(parts, datum.nu, datum.degree)
+    gamma1, gamma2, product, D = _shared(memo, _reduction, factor, parts[i1], parts[i2], seed)
+    keep = (p for i, p in enumerate(parts) if i not in (i1, i2))
+    reduced = BranchDatum(base=datum.base, degree=datum.degree, partitions=(D, *keep))
+    return ReductionStep(reduced, gamma1, gamma2, (i1, i2), product)
 
 
-def _reorder_factors(sigmas: list[Permutation], targets: list[int]) -> list[Permutation]:
-    """Permute product factors to their target positions by adjacent swaps
-    (x, y) -> (x*y*x^-1, x); the total product, the classes carried by each
-    slot, and the generated group are preserved."""
-    pairs = [[t, s] for t, s in zip(targets, sigmas)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(pairs) - 1):
-            if pairs[i][0] > pairs[i + 1][0]:
-                x, y = pairs[i][1], pairs[i + 1][1]
-                pairs[i], pairs[i + 1] = (
-                    [pairs[i + 1][0], compose(compose(x, y), x.inverse())],
-                    [pairs[i][0], x],
-                )
-                changed = True
-    return [p for _, p in pairs]
+def _unwind_step(stack, merged, h1, h2):
+    """Put the relabelled merged pair (h1, h2) at the positions ``merged``
+    of the factors ``stack`` holds first on top (the pair's product popped).
+    For (0, 2) and (1, 2), Hurwitz moves (x, y) -> (x*y*x^-1, x), which keep
+    the ordered product, each slot's class and the group, carry the next
+    factor r1: h1, h2*r1*h2^-1, h2, ... and x*r1*x^-1, h1, h2, ... (x = h1*h2).
+    """
+    if merged == (0, 1):
+        stack += (h2, h1)
+    elif merged == (0, 2):
+        stack += (h2, conjugate(stack.pop(), h2), h1)  # pops r1 first
+    else:
+        stack += (h2, h1, conjugate(stack.pop(), compose(h1, h2)))
 
 
 def fundamental_construct(
@@ -548,6 +538,8 @@ def fundamental_construct(
     `_shared`.  Gated and checked once, here; `two_datum_construct` checked
     a pair."""
     _require_constructible(datum)
+    if len(datum.partitions) < 2:
+        raise InadmissibleError("the construction needs at least two partitions")
     sigmas = _build(datum, seed, memo)
     if len(datum.partitions) > 2:
         _check_construction(sigmas, datum.partitions, datum.degree)
@@ -555,27 +547,32 @@ def fundamental_construct(
 
 
 def _build(datum: BranchDatum, seed: int, memo) -> tuple[Permutation, ...]:
-    """The recursion of `fundamental_construct`, with no gate and no output
-    check of its own: the caller gates the datum (`_require_constructible`)
-    and checks or verifies the result once."""
-    parts = datum.partitions
-    if len(parts) == 2:
-        return _shared(memo, _pair, parts[0], parts[1], seed)
+    """The loop of `fundamental_construct`, with no gate and no check of its
+    own: the caller gates the datum, which each step preserves, and checks
+    or verifies the result once.  The partitions wait on a stack, the first
+    on top; steps merge a pair until two remain, their pair is built, and
+    the steps are unwound in reverse.  The work is linear in s."""
+    d, nu = datum.degree, datum.nu
+    parts = list(reversed(datum.partitions))
+    steps = []
+    while len(parts) > 2:
+        top = (parts.pop(), parts.pop(), parts.pop())
+        i1, i2, factor = _merge_rule(top, nu, d)
+        A, B = top[i1], top[i2]
+        gamma1, gamma2, product, D = _shared(memo, _reduction, factor, A, B, seed)
+        parts += (top[3 - i1 - i2], D)  # the reduced datum: D, then the rest in order
+        nu += D.nu - A.nu - B.nu
+        steps.append((gamma1, gamma2, product, (i1, i2)))
 
-    step = reduce_collection(datum, seed, memo=memo)
-    sub = _build(step.reduced, seed, memo)
-    # relabel the merged pair so that its product is the first factor of sub
-    try:
-        lam_hat = _shared(memo, conjugator_matching, step.product, sub[0])
-    except PermError as exc:  # a defect below: sub[0] has the wrong type
-        raise EksError(f"construction output: {exc}") from exc
-    g1, g2 = _shared(memo, _conjugate_pair, step.gamma1, step.gamma2, lam_hat)
-
-    i1, i2 = step.merged
-    keep_idx = [i for i in range(len(parts)) if i not in (i1, i2)]
-    internal = [g1, g2, *sub[1:]]
-    targets = [i1, i2, *keep_idx]
-    return tuple(_reorder_factors(internal, targets))
+    stack = list(reversed(_shared(memo, _pair, parts[-1], parts[-2], seed)))
+    for gamma1, gamma2, product, merged in reversed(steps):
+        try:
+            lam_hat = _shared(memo, conjugator_matching, product, stack.pop())
+        except PermError as exc:  # a defect below: the first factor has the wrong type
+            raise EksError(f"construction output: {exc}") from exc
+        h1, h2 = _shared(memo, _conjugate_pair, gamma1, gamma2, lam_hat)
+        _unwind_step(stack, merged, h1, h2)
+    return tuple(reversed(stack))
 
 
 # -- data containing the full-cycle partition [d] ----------------------------------------

@@ -10,12 +10,12 @@ reusing builder state.
 
 Primitivity may be settled by a subgroup.  A group containing a transitive
 primitive subgroup is itself transitive and primitive, because each of its
-block systems is one of the subgroup too.  Given a memo, the verifier first
-tests the subgroup ⟨u_1 u_2, u_3, ..., a⟩, built from the certificate's own
-images; the data of one census share such subgroups as they share their
-reductions, so the memo keeps subgroup verdicts, never a certificate's own.
-Only when that verdict is not "transitive and primitive" is the whole group
-tested, as it always is without a memo.
+block systems is one of the subgroup too.  Given a memo, the verifier tests
+⟨u_1 u_2, u_3, ..., a⟩ and then ⟨u_2 u_3, u_1, u_4, ..., a⟩, built from the
+certificate's own images; the data of one census share such subgroups as
+they share their reductions, so the memo keeps subgroup verdicts, never a
+certificate's own.  Only when neither is "transitive and primitive" is the
+whole group tested, as it always is without a memo.
 """
 
 from __future__ import annotations
@@ -183,14 +183,14 @@ def verify_certificate(cert: HurwitzCertificate, memo=None) -> VerificationRepor
     """Re-derive every claim of the certificate independently of its builder.
 
     ``memo`` is a dict the caller owns (see `construct._shared`).  With a
-    memo and at least four generators, the verdict on the subgroup
-    ⟨u_1 u_2, u_3, ..., a⟩ is looked up there or computed and kept.  When it
-    reads transitive and primitive, so is the certificate's group, which
-    contains that subgroup: a block system of a group is a block system of
-    each of its subgroups (Wielandt, *Finite Permutation Groups*, 1964).
-    Otherwise, or with no memo, the whole group is tested, once.  The rule
-    only ever settles "primitive", so the report is the same with or
-    without a memo.
+    memo and at least four generators, the verdicts on ⟨u_1 u_2, u_3, ..., a⟩
+    and, if needed, ⟨u_2 u_3, u_1, u_4, ..., a⟩ are looked up there or
+    computed and kept.  When one reads transitive and primitive, so is the
+    certificate's group, which contains that subgroup: a block system of a
+    group is a block system of each of its subgroups (Wielandt, *Finite
+    Permutation Groups*, 1964).  Otherwise, or with no memo, the whole group
+    is tested, once.  The rule only ever settles "primitive", so the report
+    is the same with or without a memo.
     """
     chi = euler_characteristic(cert.base, cert.degree, cert.datum.nu)
 
@@ -207,10 +207,12 @@ def verify_certificate(cert: HurwitzCertificate, memo=None) -> VerificationRepor
     gens = cert.u_images
     if cert.a_image is not None:
         gens = (*gens, cert.a_image)
-    # with three generators the merged subgroup is cyclic where the relation holds
-    if memo is not None and len(gens) >= 4 and _shared(
-        memo, _group_verdict, compose(gens[0], gens[1]), *gens[2:]
-    ) == (True, True):
+    # with three generators a merged subgroup is cyclic where the relation holds
+    if memo is not None and len(gens) >= 4 and (
+        _shared(memo, _group_verdict, compose(gens[0], gens[1]), *gens[2:]) == (True, True)
+        or _shared(memo, _group_verdict, compose(gens[1], gens[2]), gens[0], *gens[3:])
+        == (True, True)
+    ):
         transitive = primitive = True
     else:
         transitive, primitive = _group_verdict(*gens)

@@ -325,8 +325,14 @@ def test_builder_defect_on_the_realize_path_exits_1(monkeypatch, capsys, base, d
         # the a-image no longer squares to the inverse of the product
         monkeypatch.setattr(realize, "sqrt_odd_cycle", lambda p: p)
     elif fault == "misordered factors":
-        # every level of the s = 4 recursion returns its factors reversed
-        monkeypatch.setattr(construct, "_reorder_factors", lambda sigmas, targets: sigmas[::-1])
+        # every unwind step of the s = 4 loop leaves its factors reversed
+        unwind = construct._unwind_step
+
+        def misordered(stack, merged, h1, h2):
+            unwind(stack, merged, h1, h2)
+            stack.reverse()
+
+        monkeypatch.setattr(construct, "_unwind_step", misordered)
     else:
         build = realize._build
         monkeypatch.setattr(realize, "_build", lambda *args: fault(build(*args)))

@@ -1,5 +1,7 @@
 """The two-partition construction, reduction, induction, and [d]-data."""
 
+import random
+import sys
 from itertools import combinations_with_replacement
 
 import pytest
@@ -136,6 +138,15 @@ def test_two_datum_exhaustive_sweep_small():
             _check_pair(A, B, lam, beta)
 
 
+_UNWIND_STEP = construct._unwind_step
+
+
+def _misordered_unwind(stack, merged, h1, h2):
+    """The unwind step, then every factor so far in reverse order."""
+    _UNWIND_STEP(stack, merged, h1, h2)
+    stack.reverse()
+
+
 @pytest.mark.parametrize(
     "step, wrong, call",
     [
@@ -145,15 +156,15 @@ def test_two_datum_exhaustive_sweep_small():
             lambda: two_datum_construct(P([5, 2]), P([4, 3])),
         ),
         (
-            "_reorder_factors",
-            lambda sigmas, targets: sigmas[::-1],
+            "_unwind_step",
+            _misordered_unwind,
             lambda: fundamental_construct(
                 BranchDatum("rp2", 5, (P([3, 2]), P([3, 2]), P([2, 2, 1])))
             ),
         ),
         (
-            "_reorder_factors",
-            lambda sigmas, targets: sigmas[::-1],
+            "_unwind_step",
+            _misordered_unwind,
             lambda: fundamental_construct(
                 BranchDatum(
                     "rp2", 7, (P([3, 2, 2]), P([2, 2, 2, 1]), P([3, 3, 1]), P([2, 2, 2, 1]))
@@ -255,6 +266,8 @@ def test_fundamental_construct_examples():
 
     with pytest.raises(InadmissibleError):
         fundamental_construct(BranchDatum("rp2", 3, (P([2, 1]), P([2, 1]))))
+    with pytest.raises(InadmissibleError):  # gated, but one partition is no pair
+        fundamental_construct(BranchDatum("rp2", 5, (P([5]),)))
 
 
 def test_fundamental_construct_respects_caller_order_after_relabel():
@@ -275,6 +288,81 @@ def test_fundamental_construct_four_partitions():
     for s, p in zip(sigmas, datum.partitions):
         assert s.cycle_type() == p
     assert is_primitive(sigmas)[0]
+
+
+def _reorder_by_adjacent_swaps(sigmas, targets):
+    """Reference for `construct._unwind_step`: carry each factor to its
+    target position by adjacent swaps (x, y) -> (x*y*x^-1, x), in bubble-sort
+    order."""
+    pairs = [[t, s] for t, s in zip(targets, sigmas)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(pairs) - 1):
+            if pairs[i][0] > pairs[i + 1][0]:
+                x, y = pairs[i][1], pairs[i + 1][1]
+                pairs[i], pairs[i + 1] = (
+                    [pairs[i + 1][0], compose(compose(x, y), x.inverse())],
+                    [pairs[i][0], x],
+                )
+                changed = True
+    return [p for _, p in pairs]
+
+
+@pytest.mark.parametrize("merged", [(0, 1), (0, 2), (1, 2)])
+def test_unwind_step_matches_the_adjacent_swap_reference(merged):
+    rng = random.Random(sum(merged))
+    for s in range(3, 9):
+        for _ in range(8):
+            d = rng.choice((5, 7, 9, 12))
+            sigmas = [Permutation(tuple(rng.sample(range(1, d + 1), d)), d) for _ in range(s)]
+            h1, h2, *rest = sigmas
+            keep = [i for i in range(s) if i not in merged]
+            expected = _reorder_by_adjacent_swaps(sigmas, [*merged, *keep])
+            stack = rest[::-1]
+            construct._unwind_step(stack, merged, h1, h2)
+            assert stack[::-1] == expected
+            assert compose(*expected) == compose(*sigmas)
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_many_branch_points_need_no_deep_stack():
+    """s = 300 transpositions at d = 101, with about 100 frames to spare."""
+    transposition = P([2] + [1] * 99)
+    datum = BranchDatum("rp2", 101, (transposition,) * 300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        cert = realize_rp2(datum)  # raises unless its verification passes
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(cert.u_images) == 300
+
+
+@pytest.mark.slow
+def test_transposition_datum_beyond_a_thousand_branch_points():
+    """s = d + 1 = 1002 transpositions at d = 1001."""
+    transposition = P([2] + [1] * 999)
+    cert = realize_rp2(BranchDatum("rp2", 1001, (transposition,) * 1002))
+    assert len(cert.u_images) == 1002  # realize_rp2 returns verified certificates only
+
+
+@pytest.mark.slow
+def test_mixed_datum_of_1500_branch_points():
+    """1500 seeded transpositions and double transpositions at d = 301."""
+    d = 301
+    shapes = (P([2] + [1] * (d - 2)), P([2, 2] + [1] * (d - 4)))
+    parts = random.Random(1500).choices(shapes, weights=(7, 3), k=1500)
+    if sum(p.nu for p in parts) % 2:
+        parts.append(shapes[0])
+    cert = realize_rp2(BranchDatum("rp2", d, tuple(parts)))
+    assert len(cert.u_images) == len(parts)
 
 
 def test_full_cycle_datum_pair_of_full_cycles():

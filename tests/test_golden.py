@@ -6,13 +6,16 @@ them.
 """
 
 import hashlib
-from itertools import combinations_with_replacement
+import random
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from branchcover.cli import main
-from branchcover.construct import BranchDatum
+from branchcover.construct import BranchDatum, fundamental_construct
+from branchcover.errors import InadmissibleError
 from branchcover.oracle import partitions_of
+from branchcover.perm import Partition, format_cycles
 from branchcover.realize import admissible, certificate_to_text, realize_rp2
 
 # certificate_to_text of every datum that census(d, 3) constructs, in row
@@ -23,6 +26,27 @@ CENSUS_DIGESTS = {
     9: "70101dff59b435e1dcca5838f80d4137035afb18cb2d9cfee3ab764252449efa",
     11: "e3bb7904a9ac84be74081ac767aa97beb1be764300b41298796d7b72efa45ecd",
 }
+
+# certificate_to_text of every ordered datum of degree 7 with 2..4 branch
+# points that realize_rp2 accepts, in `itertools.product` order, one memo for
+# the sweep; orderings such as [2,1^5];[7];[2,1^5] merge positions 0 and 2
+ORDERED_D7_DIGEST = "acee824eee0d7e23be3dd2dc457ca9e68f0571d9f9c6cbf8bb719e1f4e94719c"
+
+# fundamental_construct on _seeded_data(): format_cycles of each factor
+# joined by "|", one line per datum
+SEEDED_D101_DIGEST = "c9c205e28cfef2b7d062aea350e0ee93dbfa46cfa55cf66b886793563c606c95"
+
+# certificate_to_text of the single branch point {[d]}, d prime
+SINGLE_BRANCH_DIGESTS = {
+    3: "d9abb63eb3dda9e5a2019cff41aa44b66410dccca44645033ab9b73701c35a91",
+    5: "5a2be304b4191fad47b25b3d7a1b1fde5fb4591e1518454379df4bcdf83c2893",
+    7: "1784e7cbf2f0c9d7148eebed9ac9b4596995b1b25db78e9b35c08e98a62edaa6",
+    11: "82e0c97b0e7f162c4ede722ca9002a383ddd04c2ab86b20847777c54dd7d5384",
+    13: "a1c97755b48265a4cee08358940af2bdf08649d7b270189431eeda7234019cd6",
+}
+
+# certificate_to_text of d + 1 transposition branch points at d = 41
+TRANSPOSITIONS_D41_DIGEST = "d5752733b47b23477ee8984c83d3613f63f54aec522c46878e331d45c618f271"
 
 INDECOMPOSABLE = (
     "base: rp2\n"
@@ -91,6 +115,60 @@ def _census_certificates(d: int) -> str:
 )
 def test_census_certificates_are_pinned(d):
     assert _sha256(_census_certificates(d)) == CENSUS_DIGESTS[d]
+
+
+def test_ordered_certificates_of_degree_7_are_pinned():
+    memo = {}
+    texts = []
+    usable = [p for p in partitions_of(7) if not p.is_trivial()]
+    for s in (2, 3, 4):
+        for parts in product(usable, repeat=s):
+            try:
+                cert = realize_rp2(BranchDatum("rp2", 7, parts), memo=memo)
+            except InadmissibleError:
+                continue
+            texts.append(certificate_to_text(cert))
+    assert _sha256("".join(texts)) == ORDERED_D7_DIGEST
+
+
+def _random_partition(rng, d):
+    """A partition of d with a log-uniform number of parts in 2..d-1."""
+    k = min(d - 1, max(2, round(d ** rng.random())))
+    cuts = sorted(rng.sample(range(1, d), k - 1))
+    return Partition([b - a for a, b in zip([0, *cuts], [*cuts, d])])
+
+
+def _seeded_data(seed=17, d=101):
+    """Two admissible data of degree d for each s = 3..6."""
+    rng = random.Random(seed)
+    data = []
+    for s in (3, 4, 5, 6):
+        while len(data) < 2 * (s - 2):
+            parts = tuple(_random_partition(rng, d) for _ in range(s))
+            nu = sum(p.nu for p in parts)
+            if nu % 2 == 0 and nu > d - 1:
+                data.append(BranchDatum("rp2", d, parts))
+    return data
+
+
+def test_seeded_constructions_of_degree_101_are_pinned():
+    lines = []
+    for datum in _seeded_data():
+        sigmas = fundamental_construct(datum)
+        lines.append("|".join(format_cycles(u) for u in sigmas) + "\n")
+    assert _sha256("".join(lines)) == SEEDED_D101_DIGEST
+
+
+@pytest.mark.parametrize("d", sorted(SINGLE_BRANCH_DIGESTS))
+def test_single_branch_certificates_are_pinned(d):
+    cert = realize_rp2(BranchDatum("rp2", d, (Partition([d]),)))
+    assert _sha256(certificate_to_text(cert)) == SINGLE_BRANCH_DIGESTS[d]
+
+
+def test_transposition_certificate_of_degree_41_is_pinned():
+    transposition = Partition([2] + [1] * 39)
+    cert = realize_rp2(BranchDatum("rp2", 41, (transposition,) * 42))
+    assert _sha256(certificate_to_text(cert)) == TRANSPOSITIONS_D41_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_DIGESTS))

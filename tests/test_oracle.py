@@ -219,9 +219,10 @@ def test_census_shares_pairs_within_one_call_only(monkeypatch):
 
 
 def test_census_settles_most_verdicts_from_a_shared_subgroup(monkeypatch):
-    """The verifier reuses, within one census call, the verdict of the
-    subgroup with two generators merged, so it runs the exact test for fewer
-    than half the certificates; a second call starts again."""
+    """The verifier reuses, within one census call, the verdicts of the
+    subgroups with two adjacent generators merged, so it runs the exact test
+    for fewer than half the certificates and never on the four generators
+    of an s = 3 certificate; a second call starts again."""
     calls = []
     original = realize.is_primitive
 
@@ -236,6 +237,7 @@ def test_census_settles_most_verdicts_from_a_shared_subgroup(monkeypatch):
     assert sum(row.classification == "constructed" for row in census(7, 3)) == constructed
     assert len(calls) == per_call
     assert 0 < per_call < constructed / 2
+    assert all(len(gens) < 4 for gens in calls)
 
 
 def _counted(log, fn):

@@ -264,8 +264,8 @@ def _closed(d, a, us):
 def _verifier_sequence(rng, d):
     """(kind, certificate) pairs at degree d: constructed with s = 3 and 4,
     wreath-product (imprimitive) and intransitive sets of four or five
-    generators, primitive groups whose merged subgroup is not, and tampered
-    certificates."""
+    generators, primitive groups whose first merged subgroup is not, or
+    whose first two merged subgroups are not, and tampered certificates."""
     m = min(k for k in range(3, d) if d % k == 0)
     blocks = [tuple(range(i, i + m)) for i in range(1, d + 1, m)]
     cut = rng.randint(2, d - 2)
@@ -289,6 +289,25 @@ def _verifier_sequence(rng, d):
                 u1 = Permutation(tuple(rng.sample(range(1, d + 1), d)), d)
                 cert = _closed(d, a, (u1, compose(u1.inverse(), w), *rest))
             out.append(("merged-" + kind, cert))
+    # u1 keeps the columns, u3 the rows and a (and u4) both, so that u1 u2
+    # keeps the rows and u2 u3 the columns
+    k = d // m
+    columns = [tuple(range(c, d + 1, m)) for c in range(1, m + 1)]
+    for s in (3, 4):
+        us = ()
+        while not us or any(u.cycle_type().is_trivial() for u in us):
+            row, col = rng.sample(range(k), k), rng.sample(range(m), m)
+            a = Permutation.from_mapping(
+                {r * m + c + 1: row[r] * m + col[c] + 1 for r in range(k) for c in range(m)}, d
+            )
+            u1 = _keeping(rng, d, columns, True)
+            u3 = _keeping(rng, d, blocks, True)
+            rest = (compose(a, a),) * (s - 3)
+            u2 = compose(compose(a, a, u1).inverse(), compose(u3, *rest).inverse())
+            us = (u1, u2, u3, *rest)
+        datum = BranchDatum(base="rp2", degree=d, partitions=tuple(u.cycle_type() for u in us))
+        cert = HurwitzCertificate(base="rp2", degree=d, datum=datum, a_image=a, u_images=us)
+        out.append(("merged-twice", cert))
     for _, cert in out[:4]:
         i = rng.randrange(len(cert.u_images))
         us = list(cert.u_images)
@@ -309,8 +328,10 @@ def _verifier_sequence(rng, d):
 
 def test_merged_subgroup_rule_never_changes_a_report(monkeypatch):
     """Every report is the same whether the verifier shares one memo across
-    the whole sequence or has none, and without a memo each certificate
-    costs one exact test."""
+    the whole sequence or has none.  Without a memo each certificate costs
+    one exact test; with one, the whole group is tested exactly when
+    neither ⟨u1 u2, u3, ..., a⟩ nor ⟨u2 u3, u1, u4, ..., a⟩ is transitive
+    and primitive."""
     rng = random.Random(16)
     sequence = [c for d in (9, 15, 21, 25) for c in _verifier_sequence(rng, d)]
     rng.shuffle(sequence)
@@ -325,30 +346,39 @@ def test_merged_subgroup_rule_never_changes_a_report(monkeypatch):
     memo = {}
     seen = set()
     for kind, cert in sequence:
+        gens = (*cert.u_images, cert.a_image)
+        tests.clear()
         shared = verify_certificate(cert, memo=memo)
+        full_scan = gens in tests
         tests.clear()
         alone = verify_certificate(cert)
-        assert len(tests) == 1
+        assert tests == [gens]
         assert shared == alone, kind
-        u1, u2, *rest = cert.u_images
-        merged = realize._group_verdict(compose(u1, u2), *rest, cert.a_image)
-        if kind in ("constructed", "merged-wreath", "merged-intransitive"):
+        u1, u2, u3, *rest = cert.u_images
+        merged = realize._group_verdict(compose(u1, u2), u3, *rest, cert.a_image)
+        second = realize._group_verdict(compose(u2, u3), u1, *rest, cert.a_image)
+        if kind in ("constructed", "merged-wreath", "merged-intransitive", "merged-twice"):
             assert alone.verdict == "valid-indecomposable", kind
         elif kind in ("wreath", "intransitive"):
             assert alone.verdict != "valid-indecomposable", kind
             assert merged != (True, True) and not alone.primitive
+            assert second != (True, True)
         else:
             assert alone.verdict == "invalid", kind
         if kind.startswith("merged-"):
-            assert merged != (True, True)  # the full scan settles these
-        seen.add((kind, merged == (True, True)))
+            assert merged != (True, True)  # the first merged pair does not settle these
+        if kind == "merged-twice":
+            assert second != (True, True)  # nor does the second: the full scan runs
+        assert full_scan == (merged != (True, True) and second != (True, True)), kind
+        seen.add((kind, merged == (True, True), second == (True, True)))
     assert {
-        ("constructed", True),
-        ("merged-wreath", False),
-        ("merged-intransitive", False),
-        ("relation-broken", True),
-        ("cycle-type-wrong", True),
+        ("merged-wreath", False, True),
+        ("merged-intransitive", False, True),
+        ("merged-twice", False, False),
     } <= seen
+    assert {("constructed", True), ("relation-broken", True), ("cycle-type-wrong", True)} <= {
+        (kind, first) for kind, first, _ in seen
+    }
 
 
 def test_verifier_chi_arithmetic():
