@@ -15,7 +15,10 @@ target and (case 1) an anchor; `_reinsert` merges lam*beta0 on the kept
 points into a full cycle and re-inserts the deleted points.
 `fundamental_construct` extends this to any number of partitions: one loop
 merges two at a time with controlled product defect until two remain,
-builds their pair and unwinds the merges by explicit Hurwitz moves.  A
+builds their pair and unwinds the merges by explicit Hurwitz moves.  The
+moves keep the ordered product, so the loop hands back the product of the
+last pair, composed once, with the factors: the a-image (over the sphere,
+the first u-image) comes from it without recomposing the factors.  A
 datum containing the full-cycle partition [d] needs no rule of its own:
 with s >= 2 branch points it is strict and the same loop realizes it.
 Only the single branch point {[d]} is special, and
@@ -35,12 +38,12 @@ Data with many branch points share most of their reduction subtrees.
 `fundamental_construct` and `reduce_collection` take an optional `memo`, a
 dict the caller owns (`oracle.census` makes one per call).  Every step that
 is a pure function of its inputs then goes through `_shared` and runs once
-per distinct input: the factor pair of `two_datum_construct` and of the
-`product_defect_*` step (with its product and that product's cycle type,
-the merged partition), and the relabelling of a merged pair onto the
-reduced datum's first factor (the conjugator and the two conjugates).  A
-shared pair passed its own output check when it was built; every realized
-datum is still verified on its own.
+per distinct input: the factor pair of `two_datum_construct` (with its
+product) and of the `product_defect_*` step (with its product and that
+product's cycle type, the merged partition), and the relabelling of a
+merged pair onto the reduced datum's first factor (the conjugator and the
+two conjugates).  A shared pair passed its own output check when it was
+built; every realized datum is still verified on its own.
 
 The construction is over the projective plane: each entry refuses a datum
 tagged for another base.  The sphere reaches it through an rp2 tail
@@ -121,7 +124,10 @@ class BranchDatum(_BranchDatumFields):
 
     @property
     def nu(self) -> int:
-        return sum(p.nu for p in self.partitions)
+        nu = 0
+        for p in self.partitions:  # a census row reads nu often: no generator
+            nu += p.nu
+        return nu
 
     def __str__(self) -> str:
         return ";".join(str(p) for p in self.partitions)
@@ -462,8 +468,9 @@ def _shared(memo, build, *args):
 
 
 def _pair(A, B, seed):
-    """The factor pair of `two_datum_construct`."""
-    return two_datum_construct(A, B, seed)[:2]
+    """The factor pair of `two_datum_construct` and its product."""
+    lam, beta, _ = two_datum_construct(A, B, seed)
+    return lam, beta, compose(lam, beta)
 
 
 def _reduction(factor, A, B, seed):
@@ -540,18 +547,25 @@ def fundamental_construct(
     _require_constructible(datum)
     if len(datum.partitions) < 2:
         raise InadmissibleError("the construction needs at least two partitions")
-    sigmas = _build(datum, seed, memo)
+    sigmas, _ = _build(datum, seed, memo)
     if len(datum.partitions) > 2:
         _check_construction(sigmas, datum.partitions, datum.degree)
     return sigmas
 
 
-def _build(datum: BranchDatum, seed: int, memo) -> tuple[Permutation, ...]:
+def _build(
+    datum: BranchDatum, seed: int, memo
+) -> tuple[tuple[Permutation, ...], Permutation]:
     """The loop of `fundamental_construct`, with no gate and no check of its
     own: the caller gates the datum, which each step preserves, and checks
     or verifies the result once.  The partitions wait on a stack, the first
     on top; steps merge a pair until two remain, their pair is built, and
-    the steps are unwound in reverse.  The work is linear in s."""
+    the steps are unwound in reverse.  The work is linear in s.
+
+    Returns the factors and their ordered product.  Each unwind step keeps
+    the product (`_unwind_step`), so it is the last pair's product, composed
+    once by `_pair`; callers take the a-image from it and do not recompose.
+    """
     d, nu = datum.degree, datum.nu
     parts = list(reversed(datum.partitions))
     steps = []
@@ -564,7 +578,8 @@ def _build(datum: BranchDatum, seed: int, memo) -> tuple[Permutation, ...]:
         nu += D.nu - A.nu - B.nu
         steps.append((gamma1, gamma2, product, (i1, i2)))
 
-    stack = list(reversed(_shared(memo, _pair, parts[-1], parts[-2], seed)))
+    lam, beta, total = _shared(memo, _pair, parts[-1], parts[-2], seed)
+    stack = [beta, lam]
     for gamma1, gamma2, product, merged in reversed(steps):
         try:
             lam_hat = _shared(memo, conjugator_matching, product, stack.pop())
@@ -572,7 +587,7 @@ def _build(datum: BranchDatum, seed: int, memo) -> tuple[Permutation, ...]:
             raise EksError(f"construction output: {exc}") from exc
         h1, h2 = _shared(memo, _conjugate_pair, gamma1, gamma2, lam_hat)
         _unwind_step(stack, merged, h1, h2)
-    return tuple(reversed(stack))
+    return tuple(reversed(stack)), total
 
 
 # -- data containing the full-cycle partition [d] ----------------------------------------
@@ -617,23 +632,25 @@ def full_cycle_datum_construct(
 
     The single branch point {[d]} is realized by the canonical d-cycle when
     d is prime.  Any other such datum is strict and the u-images come from
-    the fundamental construction (`_build`).  Either way the a-image is the
-    inverse of the square root of the product.
+    the fundamental construction (`_build`), which hands back their product
+    too.  Either way the a-image is the inverse of the square root of the
+    product, and the relation is checked on the factors themselves.
     """
     d = datum.degree
     if Partition([d]) not in datum.partitions:
         raise InadmissibleError("datum does not contain the full-cycle partition")
     _require_constructible(datum)
     if len(datum.partitions) > 1:
-        us = _build(datum, seed, None)
+        us, product = _build(datum, seed, None)
     elif _largest_proper_divisor(d) == 1:
-        us = (canonical_in_class(datum.partitions[0], d),)
+        product = canonical_in_class(datum.partitions[0], d)
+        us = (product,)
     else:
         raise InadmissibleError(
             "only decomposable realizations (single branch point, composite degree)"
         )
     try:
-        a = sqrt_odd_cycle(compose(*us)).inverse()
+        a = sqrt_odd_cycle(product).inverse()
     except PermError as exc:  # a defect below: the product is no odd cycle
         raise EksError(f"construction output: {exc}") from exc
     if not compose(a, a, *us).is_identity():

@@ -167,7 +167,8 @@ def _anchor_ok(beta: Permutation, anchor) -> bool:
     return False
 
 
-def _search_merge(lam, target, anchor, rng):
+def _search_merge(lam, target, anchor, seed):
+    rng = random.Random(seed)
     budget = 256 + 64 * lam.degree
     for _ in range(budget):
         beta = _random_in_class_anchored(target, lam.domain, anchor, rng)
@@ -200,12 +201,13 @@ def _canonical_tau(t2_parts: Sequence[int], mod_index: int, star: int, us: Seque
     return from_cycles(cycles, dom)
 
 
-def _merge_split(lam: Permutation, target: Partition, anchor, rng):
+def _merge_split(lam: Permutation, target: Partition, anchor, seed):
     """Threading merge: thread the smallest parts of the target while their
     defect fits under a full cycle.  With no surplus defect that is the whole
     target and the threading is the answer (split trace None); otherwise the
     even remainder is absorbed through a two-full-cycle factorization
-    aligned back into the running full cycle."""
+    aligned back into the running full cycle; only that factorization draws
+    from the ``seed``."""
     dbar = lam.degree
     t = len(lam.cycles())
     nu_lam = dbar - t
@@ -282,7 +284,8 @@ def _merge_split(lam: Permutation, target: Partition, anchor, rng):
         F.append(anchor[1])
         remaining_fixed = [x for x in remaining_fixed if x != anchor[1]]
     F.extend(remaining_fixed[: ones - len(F)])
-    us = [x for x in remaining_fixed if x not in set(F)]
+    taken = set(F)
+    us = [x for x in remaining_fixed if x not in taken]
     z = dbar - ones - sum(E[:k]) - f
     if len(us) != z or z < 2:
         return None
@@ -292,7 +295,7 @@ def _merge_split(lam: Permutation, target: Partition, anchor, rng):
     t2_parts = list(tail)
     t2_parts[j_idx] = tail[j_idx] - f + 1
     tau = _canonical_tau(t2_parts, j_idx, star, us)
-    sigma, gamma = _factor_two_cycles_rng(tau, rng)
+    sigma, gamma = _factor_two_cycles_rng(tau, random.Random(seed))
     pi_cycle = next(c for c in pi.cycles() if len(c) == len(sub))
     eta = aligning_conjugator(sigma, pi_cycle, star)
     beta_second = conjugate(tau, eta)
@@ -333,13 +336,12 @@ def merge_with_trace(
     if anchor is not None and anchor[0] not in target.parts:
         raise EksError("anchor entry is not a part of the target")
 
-    rng = random.Random(seed)
-    got = _merge_split(lam, target, anchor, rng)
+    got = _merge_split(lam, target, anchor, seed)
     if got is not None:
         beta, split = got
         trace = MergeTrace(kind="threading" if split is None else "split", split=split)
     else:
-        beta = _search_merge(lam, target, anchor, rng)
+        beta = _search_merge(lam, target, anchor, seed)
         if beta is None:
             raise EksError("internal merge search exhausted (defect)")
         trace = MergeTrace(kind="search")

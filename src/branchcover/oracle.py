@@ -58,7 +58,8 @@ def _equal_partitions(labels: Sequence[int], block_size: int):
 
     for mates in combinations(rest, block_size - 1):
         block = (first, *mates)
-        remaining = [x for x in rest if x not in set(mates)]
+        taken = set(mates)
+        remaining = [x for x in rest if x not in taken]
         for tail in _equal_partitions(remaining, block_size):
             yield [block] + tail
 

@@ -111,23 +111,25 @@ def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCerti
 
     The single branch point {[d]} goes to `full_cycle_datum_construct`.
     Every other datum, with or without a branch point [d], takes its
-    u-images from `construct._build`: their product is a (d-2)-cycle, and
+    u-images from `construct._build`, together with their product, a
+    (d-2)-cycle, which `_build` hands back without recomposing the factors;
     the a-image is the inverse of its square root.  ``memo`` is a dict the
     caller owns (`oracle.census` makes one per call; see
     `construct._shared`): the factor pairs, reduced partitions and
     relabellings of identical sub-constructions, and the a-image of an
     equal product, are then built once and shared.  The verifier is the one
-    check of every certificate; a product with no such square root fails it
-    too.
+    check of every certificate: it recomputes a^2 * u_1 * ... * u_s from the
+    certificate alone, so a product that disagrees with the factors fails
+    it, and so does a product with no such square root.
     """
     d = datum.degree
     _require_constructible(datum)
     if len(datum.partitions) == 1:
         a, us = full_cycle_datum_construct(datum, seed)
     else:
-        us = _build(datum, seed, memo)
+        us, product = _build(datum, seed, memo)
         try:
-            a = _shared(memo, _a_image, compose(*us))
+            a = _shared(memo, _a_image, product)
         except PermError as exc:
             raise VerificationError(f"self-verification failed: {exc}") from exc
     cert = HurwitzCertificate(
@@ -141,8 +143,9 @@ def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCerti
 
 def realize_sphere(datum: BranchDatum, seed: int = 0) -> HurwitzCertificate:
     """Certificate over the sphere for data led by the near-full partition
-    [d-2,1,1] with total defect at least 2d-2; the verifier is the one check
-    of the certificate."""
+    [d-2,1,1] with total defect at least 2d-2.  The first u-image is the
+    inverse of the product that `construct._build` hands back with the
+    tail's factors; the verifier is the one check of the certificate."""
     if datum.base != "s2":
         raise InadmissibleError("datum is not over the sphere")
     ok, reason = admissible(datum)
@@ -153,8 +156,8 @@ def realize_sphere(datum: BranchDatum, seed: int = 0) -> HurwitzCertificate:
         raise InadmissibleError("first partition must be [d-2,1,1]")
     tail = BranchDatum(base="rp2", degree=d, partitions=datum.partitions[1:])
     _require_constructible(tail)
-    sigmas = _build(tail, seed, None)
-    sigma1 = compose(*sigmas).inverse()
+    sigmas, product = _build(tail, seed, None)
+    sigma1 = product.inverse()
     cert = HurwitzCertificate(
         base="s2",
         degree=d,

@@ -293,6 +293,11 @@ def _even_cycle_product(us):
     return (*us[:-1], compose(us[-1], from_cycles([(x, y)], product.degree)))
 
 
+def _rootless(product):
+    """The same change made to a reported product."""
+    return _even_cycle_product((product,))[0]
+
+
 def _factor_out_of_class(us):
     """The same product, with the first two factors fused and an identity."""
     return (compose(us[0], us[1]), Permutation.identity(us[0].degree), *us[2:])
@@ -305,16 +310,22 @@ def _factor_out_of_class(us):
         ("rp2", "[3,2];[3,2];[2,2,1]", _factor_out_of_class),
         ("rp2", "[3,2];[3,2];[2,2,1]", "broken relation"),
         ("rp2", "[3,2,2];[2,2,2,1];[3,3,1];[2,2,2,1]", "misordered factors"),
+        ("rp2", "[3,2];[3,2];[2,2,1]", "wrong product"),
+        ("rp2", "[3,2];[3,2];[2,2,1]", "rootless product"),
         ("s2", "[3,1,1];[3,2];[3,2];[2,2,1]", _even_cycle_product),
         ("s2", "[3,1,1];[3,2];[3,2];[2,2,1]", _factor_out_of_class),
+        ("s2", "[3,1,1];[3,2];[3,2];[2,2,1]", "wrong product"),
     ],
     ids=[
         "rp2-even-cycle",
         "rp2-out-of-class",
         "rp2-relation",
         "rp2-misordered",
+        "rp2-wrong-product",
+        "rp2-rootless-product",
         "s2-even-cycle",
         "s2-out-of-class",
+        "s2-wrong-product",
     ],
 )
 def test_builder_defect_on_the_realize_path_exits_1(monkeypatch, capsys, base, datum, fault):
@@ -333,9 +344,25 @@ def test_builder_defect_on_the_realize_path_exits_1(monkeypatch, capsys, base, d
             stack.reverse()
 
         monkeypatch.setattr(construct, "_unwind_step", misordered)
-    else:
+    elif fault in ("wrong product", "rootless product"):
+        # honest factors, but the product handed back with them is not theirs
         build = realize._build
-        monkeypatch.setattr(realize, "_build", lambda *args: fault(build(*args)))
+        wrong = Permutation.inverse if fault == "wrong product" else _rootless
+
+        def wrong_product(*args):
+            us, product = build(*args)
+            return us, wrong(product)
+
+        monkeypatch.setattr(realize, "_build", wrong_product)
+    else:
+        # corrupted factors, reported with the honest product
+        build = realize._build
+
+        def corrupted(*args):
+            us, product = build(*args)
+            return fault(us), product
+
+        monkeypatch.setattr(realize, "_build", corrupted)
     code, out, err = run(capsys, "realize", "--base", base, "--datum", datum)
     assert code == 1 and out == ""
     assert err.startswith("verification failure")

@@ -325,6 +325,53 @@ def test_unwind_step_matches_the_adjacent_swap_reference(merged):
             assert compose(*expected) == compose(*sigmas)
 
 
+def _unwind_data(rng, d, count):
+    """``count`` seeded admissible data of degree d with s = 2..8 branch
+    points, after the one datum whose loop merges (0, 2).
+
+    A merge other than (0, 1) needs the rest to carry one spare
+    transposition, and it is (0, 2) when the first partition is a
+    transposition too.  At d > 3 a merged partition has defect at least 2,
+    so only a datum's own first three partitions can take (0, 2), and the
+    gate leaves [2,1..1];[d];[2,1..1] alone.  A quarter of the seeded
+    partitions are transpositions, so that (1, 2) comes up."""
+    transposition = P([2] + [1] * (d - 2))
+    data = [BranchDatum("rp2", d, (transposition, P([d]), transposition))]
+    while len(data) < count:
+        parts = []
+        for _ in range(rng.randint(2, 8)):
+            x = rng.random()
+            if x < 0.25:
+                parts.append(transposition)
+            elif x < 0.3:
+                parts.append(P([d]))
+            else:
+                k = rng.randint(2, d - 1)
+                cuts = sorted(rng.sample(range(1, d), k - 1))
+                parts.append(P([b - a for a, b in zip([0, *cuts], [*cuts, d])]))
+        nu = sum(p.nu for p in parts)
+        if nu % 2 == 0 and nu > d - 1:
+            data.append(BranchDatum("rp2", d, tuple(parts)))
+    return data
+
+
+@pytest.mark.parametrize("d", [7, 9, 31, 101])
+def test_build_hands_back_the_product_of_its_factors(monkeypatch, d):
+    moves = set()
+
+    def recording(stack, merged, h1, h2):
+        moves.add(merged)
+        _UNWIND_STEP(stack, merged, h1, h2)
+
+    monkeypatch.setattr(construct, "_unwind_step", recording)
+    memo = {}
+    for datum in _unwind_data(random.Random(d), d, 60):
+        sigmas, product = construct._build(datum, 0, None)
+        assert product == compose(*sigmas), datum
+        assert construct._build(datum, 0, memo) == (sigmas, product), datum
+    assert moves == {(0, 1), (0, 2), (1, 2)}
+
+
 def _frame_depth():
     depth, frame = 0, sys._getframe()
     while frame is not None:

@@ -1,5 +1,6 @@
 """The merge, defect-control, and two-full-cycle factorization toolbox."""
 
+import hashlib
 import random
 import time
 from itertools import combinations, permutations
@@ -26,6 +27,7 @@ from branchcover.perm import (
     canonical_in_class,
     compose,
     conjugate,
+    format_cycles,
     from_cycles,
     identity,
     parse_cycles,
@@ -296,6 +298,43 @@ def test_anchored_split_needs_no_random_merge(monkeypatch):
         lam, beta, trace = two_datum_construct(D1, D2)  # checked at its exit
         assert trace.merge.kind == "split", (D1, D2)
         assert lam.cycle_type() == D1 and beta.cycle_type() == D2
+
+
+def test_threading_builds_no_random_generator(monkeypatch):
+    """Only the split path's factorization and the search fallbacks draw from
+    the seed; a threading merge and an exact-defect product never seed one."""
+
+    def no_rng(*args):
+        raise AssertionError("random.Random built")
+
+    monkeypatch.setattr(random, "Random", no_rng)
+    lam = canonical_in_class(Partition([4, 1, 1, 1]), 7)
+    beta, trace = merge_with_trace(lam, Partition([4, 1, 1, 1]), seed=5)
+    assert trace.kind == "threading"
+    assert len(compose(lam, beta).cycles()) == 1
+    A, B = Partition([3, 2, 1, 1]), Partition([3, 1, 1, 1, 1])
+    alpha, beta = product_defect_exact(A, B, seed=5)
+    assert compose(alpha, beta).nu() == A.nu + B.nu
+    with pytest.raises(AssertionError, match="random.Random built"):  # the split seeds one
+        merge_with_trace(parse_cycles("(1 2 3)(4 5)", 5), Partition([3, 2]))
+
+
+# sha256 of format_cycles(beta) for the split merge below, at d = 8001
+SPLIT_D8001_DIGEST = "a256e4dee3b0099f09e5a0c7659cc191eef1e5e3c05a36481abdf580639bdc02"
+
+
+def test_split_merge_is_quasi_linear_at_degree_8001():
+    """`_merge_split` tests the fixed points against F in one set built once.
+    With a set built per point this call took about 1 s on a 2-core x86-64
+    VM; with one set it takes about 0.02 s."""
+    d = 8001
+    lam = canonical_in_class(Partition([d - 4, 3, 1]), d)
+    target = Partition([3, 3] + [1] * (d - 6))
+    start = time.perf_counter()
+    beta, trace = merge_with_trace(lam, target)
+    assert time.perf_counter() - start < 0.3
+    assert trace.kind == "split"
+    assert hashlib.sha256(format_cycles(beta).encode()).hexdigest() == SPLIT_D8001_DIGEST
 
 
 def test_factor_two_full_cycles_examples():
