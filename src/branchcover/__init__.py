@@ -16,18 +16,15 @@ from .perm import (
     Partition,
     PermError,
     Permutation,
-    PointSubset,
     canonical_in_class,
     compose,
     conjugate,
     conjugator_matching,
-    cycle_type,
     embed,
     format_cycles,
     from_cycles,
     identity,
     insertion_recombine,
-    inverse,
     parse_cycles,
     project,
     sqrt_odd_cycle,
@@ -53,7 +50,6 @@ from .eks import (
 from .construct import (
     AppendixRow,
     BranchDatum,
-    ConstructionTrace,
     admissible,
     full_cycle_datum_construct,
     fundamental_construct,

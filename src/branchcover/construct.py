@@ -12,7 +12,9 @@ construction follows a case split on the two largest parts: a small-shape
 golden table, or one of three deletion cases.  Each deletion case only
 chooses a partial partner beta0 on two to six deleted points, the reduced
 target and (case 1) an anchor; `_reinsert` merges lam*beta0 on the kept
-points into a full cycle and re-inserts the deleted points.
+points into a full cycle and re-inserts the deleted points.  The pair comes
+with its route only, a `ConstructionTrace` of the case and the kind of the
+re-insertion merge.
 `fundamental_construct` extends this to any number of partitions: one loop
 merges two at a time with controlled product defect until two remain,
 builds their pair and unwinds the merges by explicit Hurwitz moves.  The
@@ -35,10 +37,10 @@ neither gates nor checks a step; `realize` calls it and leaves the one
 check of a certificate to its independent verifier.
 
 Data with many branch points share most of their reduction subtrees.
-`fundamental_construct` and `reduce_collection` take an optional `memo`, a
-dict the caller owns (`oracle.census` makes one per call).  Every step that
-is a pure function of its inputs then goes through `_shared` and runs once
-per distinct input: the factor pair of `two_datum_construct` (with its
+`_build` takes an optional `memo`, a dict the caller owns: `realize_rp2`
+passes its own (`oracle.census` makes one per call).  Every step that is a
+pure function of its inputs then goes through `_shared` and runs once per
+distinct input: the factor pair of `two_datum_construct` (with its
 product) and of the `product_defect_*` step (with its product and that
 product's cycle type, the merged partition), and the relabelling of a
 merged pair onto the reduced datum's first factor (the conjugator and the
@@ -265,14 +267,10 @@ def _table_by_key() -> dict:
 
 
 class ConstructionTrace(NamedTuple):
+    """The route of a pair: its case, and the re-insertion merge's trace."""
+
     case: str
-    beta0: Permutation | None = None
-    deleted: tuple[int, ...] = ()
-    reduced_d1: Partition | None = None
-    reduced_d2: Partition | None = None
     merge: MergeTrace | None = None
-    appendix_index: int | None = None
-    swapped: bool = False
 
 
 # -- the two-partition construction --------------------------------------------------
@@ -305,15 +303,7 @@ def _reinsert(case, lam, beta0, deleted, Dbar2, seed, anchor=None):
     keep = tuple(x for x in range(1, d + 1) if x not in deleted)
     lam_bar = project(compose(lam, beta0), keep)
     beta_bar, mtrace = merge_with_trace(lam_bar, Dbar2, seed, anchor=anchor)
-    trace = ConstructionTrace(
-        case=case,
-        beta0=beta0,
-        deleted=deleted,
-        reduced_d1=lam_bar.cycle_type(),
-        reduced_d2=Dbar2,
-        merge=mtrace,
-    )
-    return lam, compose(beta0, embed(beta_bar, d)), trace
+    return lam, compose(beta0, embed(beta_bar, d)), ConstructionTrace(case, mtrace)
 
 
 def _case1(A: Partition, B: Partition, d: int, seed: int):
@@ -331,8 +321,7 @@ def _case2(A: Partition, B: Partition, d: int, seed: int):
             lam, beta = row.lam, row.beta
         else:
             lam, beta = row.beta, row.lam
-        trace = ConstructionTrace(case="case2-table", appendix_index=row.index)
-        return lam, beta, trace
+        return lam, beta, ConstructionTrace(case="case2-table")
 
     t = len(A.parts)
     if not (t >= 4 and all(c >= 2 for c in A.parts[1:4])):
@@ -416,7 +405,6 @@ def two_datum_construct(
         if got is None:
             got = _pair_search_fallback(A, B, d, seed)
         lam, beta, trace = got
-        trace = trace._replace(swapped=swapped)
         lam_out, beta_out = (beta, lam) if swapped else (lam, beta)
 
     _check_construction([lam_out, beta_out], (D1, D2), d)
@@ -507,16 +495,15 @@ def _merge_rule(top, nu, d):
     return i1, i2, product_defect_exact if r <= 0 else product_defect_reduced
 
 
-def reduce_collection(datum: BranchDatum, seed: int = 0, *, memo=None) -> ReductionStep:
+def reduce_collection(datum: BranchDatum, seed: int = 0) -> ReductionStep:
     """Merge two partitions of the datum into the cycle type of a product
-    with controlled defect, preserving the admissibility gate.  ``memo``:
-    see `_shared`."""
+    with controlled defect, preserving the admissibility gate."""
     _require_constructible(datum)
     parts = datum.partitions
     if len(parts) < 3:
         raise InadmissibleError("reduction needs at least three partitions")
     i1, i2, factor = _merge_rule(parts, datum.nu, datum.degree)
-    gamma1, gamma2, product, D = _shared(memo, _reduction, factor, parts[i1], parts[i2], seed)
+    gamma1, gamma2, product, D = _reduction(factor, parts[i1], parts[i2], seed)
     keep = (p for i, p in enumerate(parts) if i not in (i1, i2))
     reduced = BranchDatum(base=datum.base, degree=datum.degree, partitions=(D, *keep))
     return ReductionStep(reduced, gamma1, gamma2, (i1, i2), product)
@@ -537,17 +524,14 @@ def _unwind_step(stack, merged, h1, h2):
         stack += (h2, h1, conjugate(stack.pop(), compose(h1, h2)))
 
 
-def fundamental_construct(
-    datum: BranchDatum, seed: int = 0, *, memo=None
-) -> tuple[Permutation, ...]:
+def fundamental_construct(datum: BranchDatum, seed: int = 0) -> tuple[Permutation, ...]:
     """Permutations sigma_i, one per partition in order, whose product is a
-    (d-2)-cycle and whose span is transitive and primitive.  ``memo``: see
-    `_shared`.  Gated and checked once, here; `two_datum_construct` checked
-    a pair."""
+    (d-2)-cycle and whose span is transitive and primitive.  Gated and
+    checked once, here; `two_datum_construct` checked a pair."""
     _require_constructible(datum)
     if len(datum.partitions) < 2:
         raise InadmissibleError("the construction needs at least two partitions")
-    sigmas, _ = _build(datum, seed, memo)
+    sigmas, _ = _build(datum, seed, None)
     if len(datum.partitions) > 2:
         _check_construction(sigmas, datum.partitions, datum.degree)
     return sigmas

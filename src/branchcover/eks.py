@@ -22,10 +22,11 @@ path, `_merge_split`, serves every merge, anchored or not: it threads the
 smallest parts of the target while their defect fits, which is the whole
 target when there is no surplus defect (merge kind 'threading'); otherwise
 the even remainder is realized as a conjugated product of two full cycles
-(merge kind 'split').  The two-full-cycle factorization
-(`_factor_two_cycles_rng`) tries seeded random full cycles first, which
-keep certificates as they were, and ends with an explicit O(n)
-construction (`_factor_explicit`), so it always returns.  Two fallbacks
+(merge kind 'split').  `merge_with_trace` hands back that kind, a
+`MergeTrace`, and records nothing else of a merge.  The two-full-cycle
+factorization (`_factor_two_cycles_rng`) tries seeded random full cycles
+first, which keep certificates as they were, and ends with an explicit
+O(n) construction (`_factor_explicit`), so it always returns.  Two fallbacks
 remain: that of the merge (`_search_merge`, which no gated two-partition
 datum of degree up to 21 reaches) and that of exact threading
 (`_search_defect`, which threading never leaves to fire).  Outputs are
@@ -56,23 +57,8 @@ class EksError(ValueError):
     """Precondition violation or exhausted internal search."""
 
 
-class SplitTrace(NamedTuple):
-    """Intermediates of the surplus-defect path."""
-
-    remainder_part: Partition      # even remainder on the small point set
-    f: int
-    z: int
-    beta_prime: Permutation
-    beta_second: Permutation
-    tau: Permutation
-    sigma: Permutation
-    gamma: Permutation
-    eta: Permutation
-
-
 class MergeTrace(NamedTuple):
     kind: str                      # 'threading' | 'split' | 'search'
-    split: SplitTrace | None = None
 
 
 # -- greedy threading -----------------------------------------------------------
@@ -204,10 +190,13 @@ def _canonical_tau(t2_parts: Sequence[int], mod_index: int, star: int, us: Seque
 def _merge_split(lam: Permutation, target: Partition, anchor, seed):
     """Threading merge: thread the smallest parts of the target while their
     defect fits under a full cycle.  With no surplus defect that is the whole
-    target and the threading is the answer (split trace None); otherwise the
-    even remainder is absorbed through a two-full-cycle factorization
-    aligned back into the running full cycle; only that factorization draws
-    from the ``seed``."""
+    target and the threading is the answer; otherwise the even remainder is
+    absorbed through a two-full-cycle factorization aligned back into the
+    running full cycle; only that factorization draws from the ``seed``.
+
+    Returns beta and whether the merge split, or None when the schedule
+    fails.  The caller has checked that an anchor entry is a part of the
+    target: 1, one of the threaded parts E[:k] or one of the tail."""
     dbar = lam.degree
     t = len(lam.cycles())
     nu_lam = dbar - t
@@ -234,11 +223,9 @@ def _merge_split(lam: Permutation, target: Partition, anchor, seed):
         a_e, pt = anchor
         if a_e == 1 or a_e in E[:k]:
             mode = "2a"
-        elif a_e in tail:
+        else:
             mode = "2b"
             j_idx = tail.index(a_e)
-        else:
-            return None
 
     parts: list[tuple[int, object]] = [(e, ("ret", i)) for i, e in enumerate(E[:k])]
     if f >= 2:
@@ -264,7 +251,7 @@ def _merge_split(lam: Permutation, target: Partition, anchor, seed):
         return None
     beta_prime = from_cycles(placed.values(), lam.domain)
     if not tail:
-        return beta_prime, None
+        return beta_prime, False
     prod = compose(lam, beta_prime)
     if len(prod.cycles()) != 1:
         return None
@@ -295,24 +282,11 @@ def _merge_split(lam: Permutation, target: Partition, anchor, seed):
     t2_parts = list(tail)
     t2_parts[j_idx] = tail[j_idx] - f + 1
     tau = _canonical_tau(t2_parts, j_idx, star, us)
-    sigma, gamma = _factor_two_cycles_rng(tau, random.Random(seed))
+    sigma, _ = _factor_two_cycles_rng(tau, random.Random(seed))
     pi_cycle = next(c for c in pi.cycles() if len(c) == len(sub))
     eta = aligning_conjugator(sigma, pi_cycle, star)
     beta_second = conjugate(tau, eta)
-    beta_bar = compose(beta_prime, embed(beta_second, lam.domain))
-
-    trace = SplitTrace(
-        remainder_part=Partition(t2_parts),
-        f=f,
-        z=z,
-        beta_prime=beta_prime,
-        beta_second=beta_second,
-        tau=tau,
-        sigma=sigma,
-        gamma=gamma,
-        eta=eta,
-    )
-    return beta_bar, trace
+    return compose(beta_prime, embed(beta_second, lam.domain)), True
 
 
 # -- public operations -----------------------------------------------------------
@@ -339,7 +313,7 @@ def merge_with_trace(
     got = _merge_split(lam, target, anchor, seed)
     if got is not None:
         beta, split = got
-        trace = MergeTrace(kind="threading" if split is None else "split", split=split)
+        trace = MergeTrace(kind="split" if split else "threading")
     else:
         beta = _search_merge(lam, target, anchor, seed)
         if beta is None:

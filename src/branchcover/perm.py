@@ -196,12 +196,6 @@ class Permutation:
             inv[i] = x
         return Permutation._of(tuple(inv), dom, self._pos)
 
-    # -- algebra ---------------------------------------------------------------
-
-    def __mul__(self, other: Permutation) -> Permutation:
-        """Left-to-right product: (self * other)(x) == other(self(x))."""
-        return compose(self, other)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Permutation)
@@ -244,10 +238,6 @@ def compose(*perms: Permutation) -> Permutation:
             imgs = p.images
             cur = [imgs[pos[x]] for x in cur]
     return Permutation._of(tuple(cur), first.domain, first._pos)
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
 
 
 def conjugate(p: Permutation, by: Permutation) -> Permutation:
@@ -404,46 +394,8 @@ class Partition:
         return Partition(parts)
 
 
-class PointSubset:
-    """A sorted subset of the labels 1..degree."""
-
-    __slots__ = ("degree", "members")
-
-    def __init__(self, degree: int, members: Iterable[int]):
-        mem = tuple(sorted(set(members)))
-        if mem and (mem[0] < 1 or mem[-1] > degree):
-            raise PermError("subset labels out of range")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "members", mem)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointSubset is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PointSubset)
-            and (self.degree, self.members) == (other.degree, other.members)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.members))
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, so its check runs again
-        return PointSubset, (self.degree, self.members)
-
-    def __repr__(self) -> str:
-        return f"PointSubset(degree={self.degree!r}, members={self.members!r})"
-
-
 def _keep_labels(keep) -> tuple[int, ...]:
-    if isinstance(keep, PointSubset):
-        return keep.members
     return tuple(sorted(set(keep)))
-
-
-def cycle_type(p: Permutation) -> Partition:
-    return p.cycle_type()
 
 
 def sqrt_odd_cycle(p: Permutation) -> Permutation:

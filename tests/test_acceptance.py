@@ -72,24 +72,48 @@ def _reduced_d1(case, A, B):
     return P(p for p in expect if p >= 1)
 
 
-def _check_reinsertion(A, B, lam, beta, trace):
+def _deletion(case, A, B):
+    """The points each case deletes from canonical lam in A, and the partial
+    partner beta0 it chooses.  a_ij is the j-th point of lam's i-th cycle.
+    beta0 moves exactly the deleted points, except in case 1, where it also
+    moves a_13, the anchor of the merge on the kept points."""
+    starts = [1]
+    for part in A.parts[:-1]:
+        starts.append(starts[-1] + part)
+    a = [(s, s + 1) for s in starts]  # (a_i1, a_i2)
+    if case == "case1":
+        deleted, cycles = (1, 2), [(3, 2, 1)]
+    elif case == "case2-general" and B.parts[1] == 2:
+        cycles = [(a[0][1], a[0][0]), (a[1][1], a[1][0], a[2][0])]
+        deleted = (*a[0], *a[1], a[2][0])
+    elif case == "case2-general":
+        cycles = [(a[0][1], a[0][0], a[3][0]), (a[1][1], a[1][0], a[2][0])]
+        deleted = (*a[0], *a[1], a[2][0], a[3][0])
+    elif A.parts[0] <= 4:  # case3, deleting from the first two cycles
+        deleted, cycles = (*a[0], *a[1]), [a[0], a[1][::-1]]
+    else:  # case3, deleting four points of the first cycle
+        deleted, cycles = (1, 2, 3, 4), [(1, 2), (3, 4)]
+    return deleted, from_cycles(cycles, A.degree)
+
+
+def _check_reinsertion(A, B, lam, beta, case):
     """beta = beta0 * embed(beta_bar), the product recombines from the
     reduced problem on the kept points, and the reduced lam has the type
     the case predicts."""
-    if trace.swapped:
+    if A.nu < B.nu:  # the construction works on the defect-heavy side first
         A, B, lam, beta = B, A, beta, lam
     d = A.degree
-    keep = tuple(x for x in range(1, d + 1) if x not in trace.deleted)
-    lifted = compose(trace.beta0.inverse(), beta)
+    deleted, beta0 = _deletion(case, A, B)
+    keep = tuple(x for x in range(1, d + 1) if x not in deleted)
+    lifted = compose(beta0.inverse(), beta)
     beta_bar = project(lifted, keep)
     assert lifted == embed(beta_bar, d)
-    lamb0 = compose(lam, trace.beta0)
-    if trace.case == "case1":
+    lamb0 = compose(lam, beta0)
+    if case == "case1":
         assert lamb0 == embed(project(lam, keep), d)
     downstairs = compose(project(lamb0, keep), beta_bar)
     assert insertion_recombine(lamb0, downstairs, keep) == compose(lam, beta)
-    assert trace.reduced_d1 == project(lamb0, keep).cycle_type()
-    assert trace.reduced_d1 == _reduced_d1(trace.case, A, B)
+    assert project(lamb0, keep).cycle_type() == _reduced_d1(case, A, B)
 
 
 def test_criterion_2_two_partition_theorem_desk_scale(capsys):
@@ -104,7 +128,7 @@ def test_criterion_2_two_partition_theorem_desk_scale(capsys):
             assert is_transitive([lam, beta])
             assert is_primitive([lam, beta])[0]
             if trace.case in ("case1", "case2-general", "case3"):
-                _check_reinsertion(A, B, lam, beta, trace)
+                _check_reinsertion(A, B, lam, beta, trace.case)
                 reinserted += 1
             count += 1
     elapsed = time.perf_counter() - start

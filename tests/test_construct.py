@@ -9,7 +9,6 @@ import pytest
 from branchcover import construct
 from branchcover.construct import (
     BranchDatum,
-    ConstructionTrace,
     admissible,
     full_cycle_datum_construct,
     fundamental_construct,
@@ -28,6 +27,7 @@ from branchcover.perm import (
     Permutation,
     compose,
     embed,
+    from_cycles,
     parse_cycles,
     project,
 )
@@ -70,7 +70,9 @@ def test_appendix_table_loads_and_verifies():
 
 def test_two_datum_appendix_line_one():
     lam, beta, trace = two_datum_construct(P([3, 2]), P([3, 2]))
-    assert trace.case == "case2-table" and trace.appendix_index == 1
+    assert trace.case == "case2-table"
+    row = load_appendix_table()[0]
+    assert row.index == 1 and (lam, beta) == (row.lam, row.beta)
     assert lam == parse_cycles("(1 2 3)(4 5)", 5)
     assert beta == parse_cycles("(5 4 1)(3 2)", 5)
     _check_pair(P([3, 2]), P([3, 2]), lam, beta)
@@ -86,7 +88,9 @@ def test_two_datum_degree_three():
 
 def test_two_datum_appendix_line_seven():
     lam, beta, trace = two_datum_construct(P([3, 3, 3]), P([3, 3, 3]))
-    assert trace.appendix_index == 7
+    assert trace.case == "case2-table"
+    row = load_appendix_table()[6]
+    assert row.index == 7 and (lam, beta) == (row.lam, row.beta)
     assert compose(lam, beta) == parse_cycles("(1 4 7 9 6 3 8)", 9)
     _check_pair(P([3, 3, 3]), P([3, 3, 3]), lam, beta)
 
@@ -105,16 +109,21 @@ def test_two_datum_gate_errors():
 def test_two_datum_case1_trace_invariant():
     lam, beta, trace = two_datum_construct(P([5, 2]), P([4, 3]))
     assert trace.case == "case1"
-    keep = tuple(x for x in range(1, 8) if x not in trace.deleted)
-    assert compose(lam, trace.beta0) == embed(project(lam, keep), 7)
+    # case 1 deletes a_11, a_12 with beta0 = (a_13 a_12 a_11): lam*beta0 is
+    # lam with the deleted points cut out of their cycle
+    beta0 = from_cycles([(3, 2, 1)], 7)
+    keep = (3, 4, 5, 6, 7)
+    assert compose(lam, beta0) == embed(project(lam, keep), 7)
+    lifted = compose(beta0.inverse(), beta)  # beta0 * embed(beta_bar)
+    assert lifted == embed(project(lifted, keep), 7)
     _check_pair(P([5, 2]), P([4, 3]), lam, beta)
 
 
 def test_two_datum_case_dispatch_order_swap():
     # construction normalizes to the defect-heavy side; output order must
     # still match the caller's argument order
-    lam, beta, trace = two_datum_construct(P([2, 2, 2, 1]), P([4, 3]))
-    assert trace.swapped
+    lam, beta, _ = two_datum_construct(P([2, 2, 2, 1]), P([4, 3]))
+    assert two_datum_construct(P([4, 3]), P([2, 2, 2, 1]))[:2] == (beta, lam)
     _check_pair(P([2, 2, 2, 1]), P([4, 3]), lam, beta)
 
 
@@ -498,21 +507,18 @@ def test_single_branch_verdict():
 
 
 def test_trace_fields_on_case1_split():
-    # surplus defect forces the split machinery; its trace must carry the
-    # two-full-cycle factorization data
+    # surplus defect forces the split machinery on the kept points
     lam, beta, trace = two_datum_construct(P([7]), P([7]))
     assert trace.case == "case1"
     assert trace.merge.kind == "split"
-    split = trace.merge.split
-    assert compose(split.sigma, split.gamma) == split.tau
-    assert split.beta_second.cycle_type() == split.remainder_part
 
-    # rebuild the merged partner from the split pieces and recheck the
-    # reduced-problem invariants on the kept points
-    keep = tuple(x for x in range(1, 8) if x not in trace.deleted)
-    lam_bar = project(lam, keep)
-    beta_bar = compose(
-        split.beta_prime, embed(split.beta_second, lam_bar.domain)
-    )
-    assert beta_bar.cycle_type() == trace.reduced_d2
-    assert len(compose(lam_bar, beta_bar).cycles()) == 1
+    # recover the merged partner on the kept points (case 1 deletes 1, 2
+    # with beta0 = (3 2 1)) and recheck the reduced-problem invariants: the
+    # reduced target [5] and a full-cycle product
+    beta0 = from_cycles([(3, 2, 1)], 7)
+    keep = (3, 4, 5, 6, 7)
+    lifted = compose(beta0.inverse(), beta)
+    beta_bar = project(lifted, keep)
+    assert lifted == embed(beta_bar, 7)
+    assert beta_bar.cycle_type() == P([5])
+    assert len(compose(project(lam, keep), beta_bar).cycles()) == 1

@@ -120,12 +120,11 @@ def test_eks_merge_anchored_on_non_standard_domain():
 def test_merge_trace_kinds():
     _, trace = merge_with_trace(parse_cycles("(1 2 3)(4 5)", 5), Partition([2, 1, 1, 1]))
     assert trace.kind == "threading"
-    _, trace = merge_with_trace(parse_cycles("(1 2 3)(4 5)", 5), Partition([3, 2]))
+    lam = parse_cycles("(1 2 3)(4 5)", 5)
+    beta, trace = merge_with_trace(lam, Partition([3, 2]))
     assert trace.kind == "split"
-    split = trace.split
-    assert split.f >= 1 and split.z >= 2
-    assert compose(split.sigma, split.gamma) == split.tau
-    assert conjugate(split.tau, split.eta) == split.beta_second
+    assert beta.cycle_type() == Partition([3, 2])
+    assert len(compose(lam, beta).cycles()) == 1
 
 
 def _schedule_exists(fresh, sizes, anchor_point=None):

@@ -36,6 +36,9 @@ ORDERED_D7_DIGEST = "acee824eee0d7e23be3dd2dc457ca9e68f0571d9f9c6cbf8bb719e1f4e9
 # joined by "|", one line per datum
 SEEDED_D101_DIGEST = "c9c205e28cfef2b7d062aea350e0ee93dbfa46cfa55cf66b886793563c606c95"
 
+# the same over _seeded_data_301(): four data each for s = 2, 3, 4 at d = 301
+SEEDED_D301_DIGEST = "48a542f48c305000aaa4d608ae51855df664074a69ae65fee926590527791364"
+
 # certificate_to_text of the single branch point {[d]}, d prime
 SINGLE_BRANCH_DIGESTS = {
     3: "d9abb63eb3dda9e5a2019cff41aa44b66410dccca44645033ab9b73701c35a91",
@@ -157,6 +160,27 @@ def test_seeded_constructions_of_degree_101_are_pinned():
         sigmas = fundamental_construct(datum)
         lines.append("|".join(format_cycles(u) for u in sigmas) + "\n")
     assert _sha256("".join(lines)) == SEEDED_D101_DIGEST
+
+
+def _seeded_data_301(seed=301, d=301):
+    """Four admissible data of degree d for each s = 2, 3, 4."""
+    rng = random.Random(seed)
+    data = []
+    for s in (2, 3, 4):
+        while len(data) < 4 * (s - 1):
+            parts = tuple(_random_partition(rng, d) for _ in range(s))
+            nu = sum(p.nu for p in parts)
+            if nu % 2 == 0 and nu > d - 1:
+                data.append(BranchDatum("rp2", d, parts))
+    return data
+
+
+def test_seeded_constructions_of_degree_301_are_pinned():
+    lines = []
+    for datum in _seeded_data_301():
+        sigmas = fundamental_construct(datum)
+        lines.append("|".join(format_cycles(u) for u in sigmas) + "\n")
+    assert _sha256("".join(lines)) == SEEDED_D301_DIGEST
 
 
 @pytest.mark.parametrize("d", sorted(SINGLE_BRANCH_DIGESTS))

@@ -366,13 +366,3 @@ def test_cycle_decomposition_recomposes():
         starts = [c[0] for c in p.cycles()]
         assert starts == sorted(starts)
 
-
-def test_point_subset_api():
-    from branchcover.perm import PointSubset
-
-    keep = PointSubset(5, [5, 1, 3])
-    assert keep.members == (1, 3, 5)
-    p = parse_cycles("(1 2 3)(4 5)", 5)
-    assert project(p, keep) == project(p, [1, 3, 5])
-    with pytest.raises(PermError):
-        PointSubset(4, [5])

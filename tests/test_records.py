@@ -16,11 +16,11 @@ from branchcover.construct import (
     ConstructionTrace,
     ReductionStep,
 )
-from branchcover.eks import MergeTrace, SplitTrace
+from branchcover.eks import MergeTrace
 from branchcover.errors import ParseError
 from branchcover.groups import BlockSystem
 from branchcover.oracle import CensusRow
-from branchcover.perm import Partition, PermError, PointSubset, from_cycles
+from branchcover.perm import Partition, from_cycles
 from branchcover.realize import HurwitzCertificate, VerificationReport
 
 
@@ -47,16 +47,6 @@ def _datum():
     return BranchDatum("rp2", 3, (Partition([3]), Partition([2, 1])))
 
 
-def _split():
-    return SplitTrace(Partition([2]), 1, 2, _P, _Q, _P, _Q, _P, _Q)
-
-
-_SPLIT_REPR = (
-    "SplitTrace(remainder_part=Partition([2]), f=1, z=2, "
-    "beta_prime=Permutation('(1 2 3)', d=3), beta_second=Permutation('(1 2)', d=3), "
-    "tau=Permutation('(1 2 3)', d=3), sigma=Permutation('(1 2)', d=3), "
-    "gamma=Permutation('(1 2 3)', d=3), eta=Permutation('(1 2)', d=3))"
-)
 _DATUM_REPR = (
     "BranchDatum(base='rp2', degree=3, partitions=(Partition([3]), Partition([2, 1])))"
 )
@@ -92,25 +82,11 @@ RECORDS = {
         f"ReductionStep(reduced={_DATUM_REPR}, gamma1=Permutation('(1 2 3)', d=3), "
         "gamma2=Permutation('(1 2)', d=3), merged=(0, 1), product=Permutation('(1 2 3)', d=3))",
     ),
-    "SplitTrace": (_split, "f", _SPLIT_REPR),
-    "MergeTrace": (
-        lambda: MergeTrace("split", _split()),
-        "kind",
-        f"MergeTrace(kind='split', split={_SPLIT_REPR})",
-    ),
+    "MergeTrace": (lambda: MergeTrace("split"), "kind", "MergeTrace(kind='split')"),
     "ConstructionTrace": (
-        lambda: ConstructionTrace(
-            "case1", beta0=_Q, deleted=(1, 2), merge=MergeTrace("threading")
-        ),
-        "swapped",
-        "ConstructionTrace(case='case1', beta0=Permutation('(1 2)', d=3), deleted=(1, 2), "
-        "reduced_d1=None, reduced_d2=None, merge=MergeTrace(kind='threading', split=None), "
-        "appendix_index=None, swapped=False)",
-    ),
-    "PointSubset": (
-        lambda: PointSubset(5, [5, 1, 3]),
-        "members",
-        "PointSubset(degree=5, members=(1, 3, 5))",
+        lambda: ConstructionTrace("case1", merge=MergeTrace("threading")),
+        "merge",
+        "ConstructionTrace(case='case1', merge=MergeTrace(kind='threading'))",
     ),
     "BranchDatum": (_datum, "base", _DATUM_REPR),
     "HurwitzCertificate": (
@@ -170,14 +146,6 @@ VALIDATED = {
                 "a-image present iff the base is the projective plane",
             ),
             (("rp2", 3, _D3, _P, ()), ParseError, "one u-image per branch point required"),
-        ],
-    ),
-    "PointSubset": (
-        PointSubset,
-        ("degree", "members"),
-        [
-            ((4, [5]), PermError, "subset labels out of range"),
-            ((4, [0, 2]), PermError, "subset labels out of range"),
         ],
     ),
 }
