@@ -145,13 +145,19 @@ def admissible(datum: BranchDatum) -> tuple[bool, str]:
     only with a full-cycle branch point [d]) or, over the sphere,
     'necessary-only' (realized only on the [d-2,1,1] pipeline).
     """
-    d, nu = datum.degree, datum.nu
+    return _admission(datum.base, datum.degree, datum.nu)
+
+
+def _admission(base: str, d: int, nu: int) -> tuple[bool, str]:
+    """`admissible` on what it reads of a datum: the rule depends on the
+    base, the degree and the total defect only, so a caller holding these
+    (`oracle.census`) classifies without building the datum."""
     if d % 2 == 0:
         reason = "even degree out of scope (covered by the prior even-degree result)"
         return False, reason
     if nu % 2 != 0:
         return False, f"parity violation: nu={nu} is odd"
-    if datum.base == "s2":
+    if base == "s2":
         if nu < 2 * d - 2:
             return False, f"nu={nu} below 2d-2={2 * d - 2}: chi(M) would exceed 2"
         return True, "necessary-only"

@@ -11,7 +11,8 @@ Three services, each verified on every call:
   the full-cycle product into two cycles);
 * factor a non-trivial even permutation into two full cycles
   (`factor_two_full_cycles`) and align a full cycle onto a written one by
-  a conjugation fixing a marked point (`aligning_conjugator`).
+  a conjugation fixing a marked point (`aligning_conjugator`, a public
+  helper that the merge path does not call).
 
 The primary merge path is greedy cycle threading: each k-cycle of the
 output consumes one fresh element from each of k distinct cycles of the
@@ -21,9 +22,11 @@ with the most fresh elements stalls only when every schedule does).  One
 path, `_merge_split`, serves every merge, anchored or not: it threads the
 smallest parts of the target while their defect fits, which is the whole
 target when there is no surplus defect (merge kind 'threading'); otherwise
-the even remainder is realized as a conjugated product of two full cycles
-(merge kind 'split').  `merge_with_trace` hands back that kind, a
-`MergeTrace`, and records nothing else of a merge.  The two-full-cycle
+the even remainder is factored into two full cycles on 1..m, the points
+left for it numbered in order, and placed by one relabelling that carries
+one factor onto the running product's cycle (merge kind 'split').
+`merge_with_trace` hands back that kind, a `MergeTrace`, and records
+nothing else of a merge.  The two-full-cycle
 factorization (`_factor_two_cycles_rng`) tries seeded random full cycles
 first, which keep certificates as they were, and ends with an explicit
 O(n) construction (`_factor_explicit`), so it always returns.  Two fallbacks
@@ -44,10 +47,7 @@ from .perm import (
     all_in_class,
     canonical_in_class,
     compose,
-    conjugate,
-    embed,
     from_cycles,
-    project,
     random_in_class,
     sqrt_odd_cycle,
 )
@@ -171,8 +171,9 @@ def _search_merge(lam, target, anchor, seed):
 
 
 def _canonical_tau(t2_parts: Sequence[int], mod_index: int, star: int, us: Sequence[int]):
-    """Canonical member of the remainder class with ``star`` leading the
-    modified entry's cycle; all parts are >= 2 so every point moves."""
+    """Canonical member of the remainder class on 1..m with ``star``
+    leading the modified entry's cycle; all parts are >= 2 so every point
+    moves."""
     labels = list(us)
     cycles = []
     i = 0
@@ -183,16 +184,16 @@ def _canonical_tau(t2_parts: Sequence[int], mod_index: int, star: int, us: Seque
         else:
             cycles.append(tuple(labels[i : i + part]))
             i += part
-    dom = sorted((star, *us))
-    return from_cycles(cycles, dom)
+    return from_cycles(cycles, len(us) + 1)
 
 
 def _merge_split(lam: Permutation, target: Partition, anchor, seed):
     """Threading merge: thread the smallest parts of the target while their
     defect fits under a full cycle.  With no surplus defect that is the whole
     target and the threading is the answer; otherwise the even remainder is
-    absorbed through a two-full-cycle factorization aligned back into the
-    running full cycle; only that factorization draws from the ``seed``.
+    absorbed through a two-full-cycle factorization placed back onto the
+    running full cycle (`_place_remainder`); only that factorization draws
+    from the ``seed``.
 
     Returns beta and whether the merge split, or None when the schedule
     fails.  The caller has checked that an anchor entry is a part of the
@@ -277,16 +278,38 @@ def _merge_split(lam: Permutation, target: Partition, anchor, seed):
     if len(us) != z or z < 2:
         return None
 
+    # the remainder is built on 1..m, the points of sub in order: the
+    # relabelling keeps the order, so the seeded draws are those on sub
     sub = sorted([star, *us])
-    pi = project(prod, sub)
+    index = {x: i for i, x in enumerate(sub, 1)}
     t2_parts = list(tail)
     t2_parts[j_idx] = tail[j_idx] - f + 1
-    tau = _canonical_tau(t2_parts, j_idx, star, us)
+    tau = _canonical_tau(t2_parts, j_idx, index[star], [index[x] for x in us])
     sigma, _ = _factor_two_cycles_rng(tau, random.Random(seed))
-    pi_cycle = next(c for c in pi.cycles() if len(c) == len(sub))
-    eta = aligning_conjugator(sigma, pi_cycle, star)
-    beta_second = conjugate(tau, eta)
-    return compose(beta_prime, embed(beta_second, lam.domain)), True
+    return compose(beta_prime, _place_remainder(tau, sigma, index, star, prod)), True
+
+
+def _place_remainder(tau, sigma, index, star, prod) -> Permutation:
+    """tau, an even permutation of 1..m with tau == sigma * gamma for full
+    cycles sigma and gamma, placed on the full cycle ``prod``'s domain.
+
+    ``index`` numbers the points of sub 1..m in order, ``star`` among them.
+    One relabelling carries the cycle of sigma^-1 onto prod's cycle
+    restricted to sub, both read from star, and tau's cycles through it;
+    points outside sub stay fixed.  It does what conjugating tau by
+    `aligning_conjugator` on sub and embedding the result would do.
+    """
+    sig = _rotated(sigma.cycles()[0], index[star])
+    src = (sig[0], *sig[:0:-1])  # sigma^-1 runs sigma's cycle backwards
+    tgt = _rotated([x for x in prod.cycles()[0] if x in index], star)
+    place = dict(zip(src, tgt))
+    return from_cycles([[place[x] for x in c] for c in tau.cycles()], prod.domain)
+
+
+def _rotated(cycle: Sequence[int], point: int) -> tuple[int, ...]:
+    """The cycle written to start at ``point``."""
+    i = cycle.index(point)
+    return (*cycle[i:], *cycle[:i])
 
 
 # -- public operations -----------------------------------------------------------
@@ -442,8 +465,9 @@ def _factor_two_cycles_rng(tau, rng):
     dom = tau.domain
     n = len(dom)
     full = Partition([n])
+    labels = n if tau._std else dom  # an int domain is not re-validated per trial
     for _ in range(64 * n):
-        gamma = random_in_class(full, dom, rng)
+        gamma = random_in_class(full, labels, rng)
         sigma = compose(tau, gamma.inverse())
         if len(sigma.cycles()) == 1:
             return sigma, gamma
@@ -507,7 +531,5 @@ def aligning_conjugator(
     cycles = sig_inv.nontrivial_cycles()
     if len(cycles) != 1 or len(cycles[0]) != len(sigma.domain):
         raise EksError("sigma is not a full cycle on the point set")
-    src = cycles[0]
-    src = src[src.index(fixed) :] + src[: src.index(fixed)]
-    tgt = target[target.index(fixed) :] + target[: target.index(fixed)]
+    src, tgt = _rotated(cycles[0], fixed), _rotated(target, fixed)
     return Permutation.from_mapping(dict(zip(src, tgt)), sigma.domain).inverse()

@@ -12,7 +12,7 @@ import time
 from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple, Sequence
 
-from .construct import BranchDatum, admissible, load_appendix_table
+from .construct import BranchDatum, _admission, load_appendix_table
 from .eks import EksError
 from .errors import InadmissibleError
 from .groups import BlockSystem, is_primitive, is_transitive
@@ -157,6 +157,10 @@ def census(d: int, max_s: int, seed: int = 0) -> Iterator[CensusRow]:
     max_s branch points; boundary and inadmissible data are classified
     without being attempted.
 
+    A row is classified from its degree and total defect nu alone, by the
+    rule `admissible` states (`construct._admission`), before anything is
+    built: only a datum that is constructed becomes a `BranchDatum`.
+
     The caps are checked at the call, before any row.  The data of one call
     share the factor pairs of identical sub-constructions (`construct`'s
     ``memo``) through one dict that lives as long as the returned iterator,
@@ -174,19 +178,19 @@ def census(d: int, max_s: int, seed: int = 0) -> Iterator[CensusRow]:
 
 def _census_rows(d, max_s, seed):
     memo: dict = {}
-    usable = [(p, str(p)) for p in partitions_of(d) if not p.is_trivial()]
+    usable = [(p, str(p), p.nu) for p in partitions_of(d) if not p.is_trivial()]
     for s in range(1, max_s + 1):
         for combo in combinations_with_replacement(usable, s):
-            partitions, texts = zip(*combo)
-            datum = BranchDatum(base="rp2", degree=d, partitions=partitions)
-            nu = datum.nu
+            partitions, texts, nus = zip(*combo)
+            nu = sum(nus)
             start = time.perf_counter()
-            ok, kind = admissible(datum)
+            ok, kind = _admission("rp2", d, nu)
             if not ok:
                 cls = "inadmissible"
             elif kind == "boundary":
                 cls = "boundary"
             else:
+                datum = BranchDatum(base="rp2", degree=d, partitions=partitions)
                 # raises VerificationError unless verified
                 realize_rp2(datum, seed, memo=memo)
                 cls = "constructed"

@@ -22,7 +22,11 @@ it.  Derived results (``compose``, ``inverse``, ``conjugate``, and
 ``Permutation._of`` without a second check: they are bijections of an
 already validated domain by construction.  Their arithmetic runs on
 0-based index tables; for a domain other than 1..d the label-to-index map
-is built on first use and handed on to results on the same domain.
+is built on first use and handed on to results on the same domain.  A
+product takes one path on every domain (`_product_table`): one C-level
+``operator.itemgetter`` call per factor composes the index tables, and
+one more maps the indices back to labels.  The verifier checks its
+relation on the same kernel without building the product.
 
 The derived views of a permutation (its 0-based index table, its cycles
 and its cycle type) are built once per permutation, on first use, and kept
@@ -32,6 +36,7 @@ on the object; a permutation is immutable, so they never go stale.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -219,25 +224,29 @@ def identity(domain: Iterable[int] | int) -> Permutation:
     return Permutation.identity(domain)
 
 
+def _product_table(perms: Sequence[Permutation]) -> tuple[int, ...]:
+    """The 0-based index table of the product of ``perms`` (left to right),
+    which act on one domain: one C-level ``itemgetter`` call per factor."""
+    table = perms[0]._index_table()
+    if len(table) < 2:  # the one permutation; itemgetter(i) returns an item, not a tuple
+        return table
+    for p in perms[1:]:
+        table = itemgetter(*table)(p._index_table())
+    return table
+
+
 def compose(*perms: Permutation) -> Permutation:
     """Product applying the factors left to right: compose(p, q)(x) == q(p(x))."""
     if not perms:
         raise PermError("compose needs at least one factor")
     first = perms[0]
+    dom = first.domain
     for p in perms[1:]:
-        if p.domain != first.domain:
+        if p.domain is not dom and p.domain != dom:
             raise PermError("degree mismatch: factors act on different domains")
-    cur = first.images
-    if first._std:
-        for p in perms[1:]:
-            imgs = p.images
-            cur = [imgs[x - 1] for x in cur]
-    else:
-        pos = first._positions()
-        for p in perms[1:]:
-            imgs = p.images
-            cur = [imgs[pos[x]] for x in cur]
-    return Permutation._of(tuple(cur), first.domain, first._pos)
+    table = _product_table(perms)
+    images = itemgetter(*table)(dom) if len(dom) > 1 else dom
+    return Permutation._of(images, dom, first._pos)
 
 
 def conjugate(p: Permutation, by: Permutation) -> Permutation:

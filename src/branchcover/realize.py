@@ -37,6 +37,7 @@ from .perm import (
     Partition,
     PermError,
     Permutation,
+    _product_table,
     compose,
     format_cycles,
     parse_cycles,
@@ -197,11 +198,11 @@ def verify_certificate(cert: HurwitzCertificate, memo=None) -> VerificationRepor
     """
     chi = euler_characteristic(cert.base, cert.degree, cert.datum.nu)
 
-    if cert.base == "rp2":
-        total = compose(cert.a_image, cert.a_image, *cert.u_images)
-    else:
-        total = compose(*cert.u_images)
-    relation_ok = total.is_identity()
+    images = cert.u_images
+    if cert.a_image is not None:
+        images = (cert.a_image, cert.a_image, *images)
+    # on the generators' own index tables: no product permutation is built
+    relation_ok = _product_table(images) == tuple(range(cert.degree))
 
     cycle_types_ok = all(
         u.cycle_type() == p for u, p in zip(cert.u_images, cert.datum.partitions)

@@ -27,10 +27,13 @@ from branchcover.perm import (
     canonical_in_class,
     compose,
     conjugate,
+    embed,
     format_cycles,
     from_cycles,
     identity,
     parse_cycles,
+    project,
+    random_in_class,
 )
 
 
@@ -428,6 +431,71 @@ def test_factor_explicit_output_check_survives_without_asserts(monkeypatch):
     monkeypatch.setattr(eks, "sqrt_odd_cycle", lambda p: p)
     with pytest.raises(EksError, match="explicit factorization"):
         eks._factor_explicit(parse_cycles("(1 2 3)(4 5 6 7 8)", 9))
+
+
+def _random_partition(rng, d):
+    k = rng.randint(1, d)
+    cuts = sorted(rng.sample(range(1, d), k - 1))
+    return Partition([b - a for a, b in zip([0, *cuts], [*cuts, d])])
+
+
+def _on_labels(p, sub):
+    """p, a permutation of 1..m, moved onto the labels ``sub`` in order."""
+    return from_cycles([[sub[x - 1] for x in c] for c in p.cycles()], sub)
+
+
+def _place_by_conjugation(tau, sigma, index, star, prod):
+    """The route `_place_remainder` replaced: tau and sigma on the points of
+    sub themselves, `aligning_conjugator` onto the projection of prod,
+    `conjugate`, then `embed`."""
+    sub = sorted(index)
+    pi_cycle = next(c for c in project(prod, sub).cycles() if len(c) == len(sub))
+    eta = aligning_conjugator(_on_labels(sigma, sub), pi_cycle, star)
+    return embed(conjugate(_on_labels(tau, sub), eta), prod.domain)
+
+
+def test_split_placement_matches_the_conjugation_route(monkeypatch):
+    """Seeded split merges, free and anchored, on standard and gapped
+    domains up to d = 61.  The remainder is placed as the conjugation route
+    places it, and factoring it on 1..m draws what factoring it on the
+    points of sub draws (the relabelling keeps their order)."""
+    calls = []
+    place = eks._place_remainder
+
+    def recording(*args):  # with the seed of the merge running it
+        calls.append((seed, args, place(*args)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(eks, "_place_remainder", recording)
+    rng = random.Random(61)
+    splits = {False: 0, True: 0}
+    for _ in range(400):
+        d = rng.randrange(5, 62)
+        dom = tuple(range(1, d + 1))
+        if rng.random() < 0.5:
+            dom = tuple(sorted(rng.sample(range(1, 3 * d), d)))
+        L, T = _random_partition(rng, d), _random_partition(rng, d)
+        ns = L.nu + T.nu
+        if ns < d - 1 or (ns - (d + 1)) % 2 != 0:
+            continue
+        lam = random_in_class(L, dom, rng)
+        anchor = None
+        if rng.random() < 0.5:
+            entry = rng.choice(T.parts)
+            pool = lam.support() if entry == 1 else dom
+            if pool:
+                anchor = (entry, rng.choice(pool))
+        seed = rng.randrange(1000)
+        before = len(calls)
+        _, trace = merge_with_trace(lam, T, seed=seed, anchor=anchor)
+        assert len(calls) - before == (trace.kind == "split")
+        splits[anchor is not None] += trace.kind == "split"
+    assert min(splits.values()) >= 30
+    for seed, (tau, sigma, index, star, prod), placed in calls:
+        assert placed == _place_by_conjugation(tau, sigma, index, star, prod)
+        sub = sorted(index)
+        sigma_sub, _ = eks._factor_two_cycles_rng(_on_labels(tau, sub), random.Random(seed))
+        assert sigma_sub == _on_labels(sigma, sub)
 
 
 def test_aligning_conjugator():

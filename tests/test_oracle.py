@@ -2,10 +2,11 @@
 
 import hashlib
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
-from branchcover import construct, realize
+from branchcover import construct, oracle, realize
 from branchcover.construct import parse_datum
 from branchcover.errors import InadmissibleError
 from branchcover.groups import is_primitive, is_transitive
@@ -198,6 +199,32 @@ def test_census_row_text_is_the_datum_text():
     assert hashlib.sha256(columns.encode()).hexdigest() == digest
     for r in rows:
         assert r.datum == str(parse_datum(r.datum, "rp2"))
+
+
+@pytest.mark.parametrize("d", [5, 7, 9])
+def test_census_classifies_as_admissible_does(monkeypatch, d):
+    """The census classifies a row from nu before it builds anything; its
+    rows are those of a sweep that classifies each datum through
+    `admissible(BranchDatum(...))`, and it makes a `BranchDatum` only for a
+    row that it constructs."""
+    usable = [p for p in partitions_of(d) if not p.is_trivial()]
+    reference = []
+    for s in (1, 2, 3):
+        for combo in combinations_with_replacement(usable, s):
+            datum = construct.BranchDatum("rp2", d, combo)
+            ok, kind = construct.admissible(datum)
+            cls = "constructed" if ok and kind == "strict" else kind if ok else "inadmissible"
+            reference.append((str(datum), datum.nu, cls))
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(construct.BranchDatum(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(oracle, "BranchDatum", counting)
+    rows = [(r.datum, r.nu, r.classification) for r in census(d, 3)]
+    assert rows == reference
+    assert len(made) == sum(cls == "constructed" for _, _, cls in rows) > 0
 
 
 def test_census_shares_pairs_within_one_call_only(monkeypatch):

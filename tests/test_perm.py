@@ -323,6 +323,43 @@ def test_derived_permutations_pass_the_public_validator():
                 assert [r(x) for x in r.domain] == list(r.images)
 
 
+def _compose_by_list_comprehension(*perms):
+    """The image table of the product, by the label-indexed list
+    comprehension that `compose` used before its itemgetter kernel."""
+    first = perms[0]
+    cur = first.images
+    if first.domain == tuple(range(1, first.degree + 1)):
+        for p in perms[1:]:
+            imgs = p.images
+            cur = [imgs[x - 1] for x in cur]
+    else:
+        pos = {x: i for i, x in enumerate(first.domain)}
+        for p in perms[1:]:
+            imgs = p.images
+            cur = [imgs[pos[x]] for x in cur]
+    return tuple(cur)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 301])
+def test_compose_matches_the_list_comprehension_reference(n):
+    """One path for every domain, below 2 points too, where itemgetter of a
+    single index returns the item rather than a tuple."""
+    rng = random.Random(n)
+    gapped = tuple(sorted(rng.sample(range(1, 4 * n + 2), n)))
+    for dom in (tuple(range(1, n + 1)), gapped):
+        for count in range(1, 7):
+            for _ in range(4):
+                perms = []
+                for _ in range(count):
+                    imgs = list(dom)
+                    rng.shuffle(imgs)
+                    perms.append(Permutation(tuple(imgs), dom))
+                got = compose(*perms)
+                assert type(got.images) is tuple and got.domain == dom
+                assert got.images == _compose_by_list_comprehension(*perms)
+                assert got._table is None
+
+
 @pytest.mark.parametrize("dom", [tuple(range(1, 8)), (2, 5, 7, 11, 12, 20, 31)])
 def test_index_table_and_cycle_type_are_built_once(dom):
     """Each view is built on first use and kept: the same object on a

@@ -205,6 +205,45 @@ def test_verifier_tamper_detection():
     assert report.verdict == "invalid" and report.reason == "relation violated"
 
 
+def test_relation_check_on_index_tables_at_degree_two():
+    """The relation is checked on the generators' index tables; at degree 2
+    a table has two entries, the least for which itemgetter returns a
+    tuple, and a certificate of degree 1 cannot exist (its one partition
+    would be trivial)."""
+    t, e = parse_cycles("(1 2)", 2), identity(2)
+    s2 = parse_datum("[2];[2]", "s2")
+    rp2 = parse_datum("[2]", "rp2")
+    cases = [
+        (HurwitzCertificate("s2", 2, s2, None, (t, t)), True),
+        (HurwitzCertificate("s2", 2, s2, None, (t, e)), False),
+        (HurwitzCertificate("rp2", 2, rp2, e, (t,)), False),
+        (HurwitzCertificate("rp2", 2, rp2, t, (t,)), False),
+    ]
+    for cert, holds in cases:
+        report = verify_certificate(cert)
+        assert report.relation_ok is holds
+        if not holds:
+            assert report.verdict == "invalid" and report.reason == "relation violated"
+
+
+def test_relation_check_catches_every_tampered_image():
+    """Following any one u-image of a valid certificate by a transposition
+    breaks a^2 * u_1 * ... * u_s = 1 (the product gains a conjugate of the
+    transposition); the check reads the certificate alone."""
+    rng = random.Random(2)
+    for text in ("[3];[3]", "[2,1];[2,1];[2,1];[2,1]", "[3,2];[3,2]", "[5,2,2];[3,3,3]"):
+        cert = realize_rp2(parse_datum(text, "rp2"))
+        assert verify_certificate(cert).relation_ok
+        for i in range(len(cert.u_images)):
+            x, y = rng.sample(range(1, cert.degree + 1), 2)
+            tampered = list(cert.u_images)
+            tampered[i] = compose(tampered[i], parse_cycles(f"({x} {y})", cert.degree))
+            bad = cert._replace(u_images=tuple(tampered))
+            report = verify_certificate(bad)
+            assert not report.relation_ok
+            assert report.verdict == "invalid" and report.reason == "relation violated"
+
+
 def test_verifier_valid_decomposable_cyclic():
     gamma = parse_cycles("(1 2 3 4 5 6 7 8 9)", 9)
     a = sqrt_odd_cycle(gamma.inverse())
