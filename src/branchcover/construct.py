@@ -39,12 +39,15 @@ check of a certificate to its independent verifier.
 Data with many branch points share most of their reduction subtrees.
 `_build` takes an optional `memo`, a dict the caller owns: `realize_rp2`
 passes its own (`oracle.census` makes one per call).  Every step that is a
-pure function of its inputs then goes through `_shared` and runs once per
-distinct input: the factor pair of `two_datum_construct` (with its
-product) and of the `product_defect_*` step (with its product and that
-product's cycle type, the merged partition), and the relabelling of a
-merged pair onto the reduced datum's first factor (the conjugator and the
-two conjugates).  A shared pair passed its own output check when it was
+pure function of its inputs is then kept in the memo under its inputs
+(`_shared`, `_reduction`) and runs once per distinct input: the factor
+pair of `two_datum_construct` (with its product) and of the
+`product_defect_*` step (with its product and that product's cycle type,
+the merged partition), the merge inside a `product_defect_reduced` step,
+kept under its own inputs (A, target, seed) so that an odd step's merge
+onto B' is the even step's merge onto B', and the relabelling of a merged
+pair onto the reduced datum's first factor (the conjugator and the two
+conjugates).  A shared pair passed its own output check when it was
 built; every realized datum is still verified on its own.
 
 The construction is over the projective plane: each entry refuses a datum
@@ -55,7 +58,7 @@ tagged for another base.  The sphere reaches it through an rp2 tail
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from typing import NamedTuple
 
@@ -65,6 +68,8 @@ from .groups import _largest_proper_divisor
 from .eks import (
     EksError,
     MergeTrace,
+    _canonical_merge,
+    _reduced,
     merge_with_trace,
     product_defect_exact,
     product_defect_reduced,
@@ -467,12 +472,30 @@ def _pair(A, B, seed):
     return lam, beta, compose(lam, beta)
 
 
-def _reduction(factor, A, B, seed):
-    """The factor pair ``factor(A, B, seed)`` of a `product_defect_*` step,
-    its product and the cycle type of the product, the merged partition."""
-    gamma1, gamma2 = factor(A, B, seed)
-    product = compose(gamma1, gamma2)
-    return gamma1, gamma2, product, product.cycle_type()
+def _reduction(memo, factor, A, B, seed):
+    """The step ``factor(A, B, seed)`` of a reduction, ``factor`` a
+    `product_defect_*` function: the factor pair, its product and the cycle
+    type of the product, the merged partition.  With a ``memo`` the step is
+    kept as `_shared` keeps a value, under (factor, A, B, seed).
+
+    A `product_defect_reduced` step runs that function's one code path
+    (`eks._reduced`) with its merge shared under the merge's own inputs
+    (A, target, seed): an odd step merges onto B' as the even step with B'
+    does, so each distinct merge runs once per memo.
+    """
+    key = (_reduction, factor, A, B, seed)
+    step = None if memo is None else memo.get(key)
+    if step is None:
+        if factor is product_defect_reduced:
+            merge = partial(_shared, memo, _canonical_merge)
+            gamma1, gamma2 = _reduced(A, B, seed, merge)
+        else:
+            gamma1, gamma2 = factor(A, B, seed)
+        product = compose(gamma1, gamma2)
+        step = gamma1, gamma2, product, product.cycle_type()
+        if memo is not None:
+            memo[key] = step
+    return step
 
 
 def _conjugate_pair(gamma1, gamma2, lam):
@@ -509,7 +532,7 @@ def reduce_collection(datum: BranchDatum, seed: int = 0) -> ReductionStep:
     if len(parts) < 3:
         raise InadmissibleError("reduction needs at least three partitions")
     i1, i2, factor = _merge_rule(parts, datum.nu, datum.degree)
-    gamma1, gamma2, product, D = _reduction(factor, parts[i1], parts[i2], seed)
+    gamma1, gamma2, product, D = _reduction(None, factor, parts[i1], parts[i2], seed)
     keep = (p for i, p in enumerate(parts) if i not in (i1, i2))
     reduced = BranchDatum(base=datum.base, degree=datum.degree, partitions=(D, *keep))
     return ReductionStep(reduced, gamma1, gamma2, (i1, i2), product)
@@ -563,7 +586,7 @@ def _build(
         top = (parts.pop(), parts.pop(), parts.pop())
         i1, i2, factor = _merge_rule(top, nu, d)
         A, B = top[i1], top[i2]
-        gamma1, gamma2, product, D = _shared(memo, _reduction, factor, A, B, seed)
+        gamma1, gamma2, product, D = _reduction(memo, factor, A, B, seed)
         parts += (top[3 - i1 - i2], D)  # the reduced datum: D, then the rest in order
         nu += D.nu - A.nu - B.nu
         steps.append((gamma1, gamma2, product, (i1, i2)))

@@ -7,8 +7,10 @@ Three services, each verified on every call:
   designated cycle of the output;
 * realize exact or reduced defect for a product of two prescribed cycle
   types (`product_defect_exact` by threading alone; `product_defect_reduced`
-  by one merge, followed for odd surplus by one transposition that splits
-  the full-cycle product into two cycles);
+  by one merge onto canonical alpha, `_canonical_merge`, followed for odd
+  surplus by one transposition that splits the full-cycle product into two
+  cycles: the odd step's merge is the even step's merge onto the target
+  with one part split off, so `construct` shares it within a census);
 * factor a non-trivial even permutation into two full cycles
   (`factor_two_full_cycles`) and align a full cycle onto a written one by
   a conjugation fixing a marked point (`aligning_conjugator`, a public
@@ -416,27 +418,41 @@ def product_defect_reduced(
     """alpha in A, beta in B whose product is a full cycle when r is even and
     has two cycles when r is odd, where nu(A) + nu(B) = (d-1) + r with r > 0.
 
-    Even r is one merge of B onto canonical alpha.  Odd r merges
-    B' = B with its smallest part b >= 2 replaced by (b-1, 1), whose defect
-    sum (d-1) + (r-1) has the merge's parity, then multiplies the output by
-    a transposition joining a (b-1)-cycle (a fixed point when b = 2) to
-    another fixed point: that restores the b-cycle, and a transposition on
-    two points of the full-cycle product splits it into two cycles.
+    Even r is one merge of B onto canonical alpha.  Odd r is the even merge
+    onto B' = B with its smallest part b >= 2 replaced by (b-1, 1), whose
+    defect sum (d-1) + (r-1) has the merge's parity, plus one transposition:
+    the output times a transposition joining a (b-1)-cycle (a fixed point
+    when b = 2) to another fixed point restores the b-cycle, and a
+    transposition on two points of the full-cycle product splits it into two
+    cycles.  Both run the one merge `_canonical_merge(A, target, seed)`, so
+    the odd step's merge is the call that the even step with B' makes.
     """
+    return _reduced(A, B, seed, _canonical_merge)
+
+
+def _canonical_merge(A: Partition, target: Partition, seed: int):
+    """Canonical alpha in A and `eks_merge(alpha, target, seed)`."""
+    alpha = canonical_in_class(A, A.degree)
+    return alpha, eks_merge(alpha, target, seed)
+
+
+def _reduced(A: Partition, B: Partition, seed: int, merge):
+    """`product_defect_reduced`, with its merge ``merge(A, target, seed)``
+    returning what `_canonical_merge` returns: `construct` passes one that
+    shares the merge within a census."""
     if A.degree != B.degree:
         raise EksError("partition degrees differ")
     d = A.degree
     r = A.nu + B.nu - (d - 1)
     if r <= 0:
         raise EksError("defect sum not above the full-cycle threshold")
-    alpha = canonical_in_class(A, d)
     if r % 2 == 0:
-        beta = eks_merge(alpha, B, seed)
+        alpha, beta = merge(A, B, seed)
     else:
         b = min(p for p in B.parts if p > 1)
         parts = list(B.parts)
         parts.remove(b)
-        beta = eks_merge(alpha, Partition([*parts, b - 1, 1]), seed)
+        alpha, beta = merge(A, Partition([*parts, b - 1, 1]), seed)
         x = next(c[0] for c in beta.cycles() if len(c) == b - 1)
         y = next(p for p in beta.fixed_points() if p != x)
         beta = compose(beta, from_cycles([(x, y)], alpha.domain))

@@ -17,15 +17,15 @@ a known golden product.
 A permutation is validated once, where it enters: ``Permutation(...)``,
 ``Permutation.from_mapping``, ``identity`` and ``from_cycles`` /
 ``parse_cycles`` check the domain, and that the labels form a bijection of
-it.  Derived results (``compose``, ``inverse``, ``conjugate``, and
-``from_cycles`` once its cycles have passed) are built by
-``Permutation._of`` without a second check: they are bijections of an
-already validated domain by construction.  Their arithmetic runs on
-0-based index tables; for a domain other than 1..d the label-to-index map
-is built on first use and handed on to results on the same domain.  A
-product takes one path on every domain (`_product_table`): one C-level
-``operator.itemgetter`` call per factor composes the index tables, and
-one more maps the indices back to labels.  The verifier checks its
+it.  Derived results (``compose``, ``inverse``, ``conjugate``,
+``canonical_in_class``, and ``from_cycles`` once its cycles have passed)
+are built by ``Permutation._of`` without a second check: they are
+bijections of an already validated domain by construction.  Their
+arithmetic runs on 0-based index tables; for a domain other than 1..d the
+label-to-index map is built on first use and handed on to results on the
+same domain.  A product takes one path on every domain (`_product_table`):
+one C-level ``operator.itemgetter`` call per factor composes the index
+tables, and one more maps the indices back to labels.  The verifier checks its
 relation on the same kernel without building the product.
 
 The derived views of a permutation (its 0-based index table, its cycles
@@ -503,12 +503,14 @@ def canonical_in_class(cls: Partition, domain: Iterable[int] | int) -> Permutati
     dom = _as_domain(domain)
     if sum(cls.parts) != len(dom):
         raise PermError("partition degree does not match the domain size")
-    cycles = []
+    # each cycle is a run of dom: a label maps to the next, the last to the first
+    images: list[int] = []
     i = 0
     for part in cls.parts:
-        cycles.append(dom[i : i + part])
+        images += dom[i + 1 : i + part]
+        images.append(dom[i])
         i += part
-    return from_cycles(cycles, dom)
+    return Permutation._of(tuple(images), dom)
 
 
 def random_in_class(cls: Partition, domain: Iterable[int] | int, rng) -> Permutation:

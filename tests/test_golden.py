@@ -13,6 +13,7 @@ import pytest
 
 from branchcover.cli import main
 from branchcover.construct import BranchDatum, fundamental_construct
+from branchcover.eks import product_defect_reduced
 from branchcover.errors import InadmissibleError
 from branchcover.oracle import partitions_of
 from branchcover.perm import Partition, format_cycles
@@ -203,3 +204,23 @@ def test_verify_output_is_pinned(name, tmp_path, capsys):
     assert main(["verify", "--certificate", str(path)]) == code
     captured = capsys.readouterr()
     assert _sha256(f"{code}\n{captured.out}") == digest
+
+
+# product_defect_reduced(A, B) for every ordered pair of partitions of d with
+# r = nu(A) + nu(B) - (d-1) > 0, in `partitions_of` order: one line
+# "A;B|alpha|beta" each, format_cycles of each factor
+REDUCED_PAIR_DIGESTS = {
+    5: "f33792af4ee738e5092e5e25c7fb940681c42cb23994d1c8e21498a2382b7425",
+    7: "3bb7570b9ddf3bd25a20e6806f86e5b1a54614a0f772dbd77799c0c98580c9ba",
+    9: "2cc3c1f1a2be3dc5514f9bca3f7ec6ec498188972bb98bcbd0d6bb7e3c98bbf4",
+}
+
+
+@pytest.mark.parametrize("d", sorted(REDUCED_PAIR_DIGESTS))
+def test_reduced_defect_pairs_are_pinned(d):
+    lines = []
+    for A, B in product(partitions_of(d), repeat=2):
+        if A.nu + B.nu - (d - 1) > 0:
+            alpha, beta = product_defect_reduced(A, B)
+            lines.append(f"{A};{B}|{format_cycles(alpha)}|{format_cycles(beta)}\n")
+    assert _sha256("".join(lines)) == REDUCED_PAIR_DIGESTS[d]

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from branchcover import construct, oracle, realize
+from branchcover import construct, eks, oracle, realize
 from branchcover.construct import parse_datum
 from branchcover.errors import InadmissibleError
 from branchcover.groups import is_primitive, is_transitive
@@ -277,10 +277,17 @@ def _counted(log, fn):
 
 def test_census_derives_each_relabelling_and_square_root_once_per_call(monkeypatch):
     """Within one census call `conjugator_matching` (the relabelling of a
-    merged pair) and `sqrt_odd_cycle` (the a-image) run once per distinct
-    input, fewer times than there are constructed s = 3 data."""
+    merged pair), `sqrt_odd_cycle` (the a-image) and `eks_merge` (the merge
+    of a reduction step; an odd step's merge onto B' is the even step's
+    merge onto B') run once per distinct input, fewer times than there are
+    constructed s = 3 data."""
     calls = {}
-    for module, name in ((construct, "conjugator_matching"), (realize, "sqrt_odd_cycle")):
+    targets = (
+        (construct, "conjugator_matching"),
+        (realize, "sqrt_odd_cycle"),
+        (eks, "eks_merge"),
+    )
+    for module, name in targets:
         calls[name] = []
         monkeypatch.setattr(module, name, _counted(calls[name], getattr(module, name)))
 

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from branchcover.oracle import partitions_of
 from branchcover.perm import (
     Partition,
     PermError,
@@ -388,6 +389,32 @@ def test_canonical_in_class():
     assert canonical_in_class(Partition([2, 1]), [2, 5, 9]) == from_cycles(
         [(2, 5)], [2, 5, 9]
     )
+
+
+def _canonical_from_cycles(cls, dom):
+    """The class representative through `from_cycles`: runs of the domain."""
+    cycles, i = [], 0
+    for part in cls.parts:
+        cycles.append(dom[i : i + part])
+        i += part
+    return from_cycles(cycles, dom)
+
+
+def test_canonical_in_class_matches_the_cycle_route():
+    """canonical_in_class writes its images directly; it equals laying the
+    cycles out through `from_cycles`, for every partition of d <= 13 on
+    1..d and on a gapped domain, and still checks the domain size."""
+    for d in range(1, 14):
+        for dom in (tuple(range(1, d + 1)), tuple(range(3, 3 * d + 3, 3))):
+            for cls in partitions_of(d):
+                p = canonical_in_class(cls, dom)
+                assert p == _canonical_from_cycles(cls, dom)
+                assert p.cycle_type() == cls
+                assert compose(p, p.inverse()).is_identity()
+    with pytest.raises(PermError):
+        canonical_in_class(Partition([2, 1]), 4)
+    with pytest.raises(PermError):
+        canonical_in_class(Partition([2, 1]), [2, 5])
 
 
 def test_cycle_decomposition_recomposes():
