@@ -78,6 +78,8 @@ from .perm import (
     Partition,
     PermError,
     Permutation,
+    _product_table,
+    _relabelled,
     all_in_class,
     canonical_in_class,
     compose,
@@ -550,7 +552,8 @@ def _unwind_step(stack, merged, h1, h2):
     elif merged == (0, 2):
         stack += (h2, conjugate(stack.pop(), h2), h1)  # pops r1 first
     else:
-        stack += (h2, h1, conjugate(stack.pop(), compose(h1, h2)))
+        # conjugating by x through its index table: x itself is not built
+        stack += (h2, h1, _relabelled(stack.pop(), _product_table((h1, h2))))
 
 
 def fundamental_construct(datum: BranchDatum, seed: int = 0) -> tuple[Permutation, ...]:

@@ -46,6 +46,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .perm import (
     Partition,
     Permutation,
+    _product_table,
     all_in_class,
     canonical_in_class,
     compose,
@@ -317,6 +318,18 @@ def _rotated(cycle: Sequence[int], point: int) -> tuple[int, ...]:
 # -- public operations -----------------------------------------------------------
 
 
+def _one_cycle(table: Sequence[int]) -> bool:
+    """Whether a 0-based index table is one cycle through every point: a
+    single walk from point 0, with no permutation or cycle list built."""
+    if not table:
+        return False
+    i, length = table[0], 1
+    while i:
+        i = table[i]
+        length += 1
+    return length == len(table)
+
+
 def merge_with_trace(
     lam: Permutation,
     target: Partition,
@@ -347,7 +360,7 @@ def merge_with_trace(
 
     if beta.cycle_type() != target:
         raise EksError(f"{trace.kind} merge output has the wrong cycle type")
-    if len(compose(lam, beta).cycles()) != 1:
+    if beta.domain != lam.domain or not _one_cycle(_product_table((lam, beta))):
         raise EksError(f"{trace.kind} merge output gives no full-cycle product")
     if not _anchor_ok(beta, anchor):
         raise EksError(f"{trace.kind} merge output misses the anchor")

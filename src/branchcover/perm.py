@@ -25,8 +25,12 @@ arithmetic runs on 0-based index tables; for a domain other than 1..d the
 label-to-index map is built on first use and handed on to results on the
 same domain.  A product takes one path on every domain (`_product_table`):
 one C-level ``operator.itemgetter`` call per factor composes the index
-tables, and one more maps the indices back to labels.  The verifier checks its
-relation on the same kernel without building the product.
+tables, and one more maps the indices back to labels.  A conjugate is one
+relabelling of the same kind: p's table read through the conjugator's
+table and then through its inverse index list, with no inverse
+permutation built; `conjugator_matching` writes its result from the
+matched points directly.  The verifier checks its relation on the same
+kernel without building the product.
 
 The derived views of a permutation (its 0-based index table, its cycles
 and its cycle type) are built once per permutation, on first use, and kept
@@ -227,10 +231,14 @@ def identity(domain: Iterable[int] | int) -> Permutation:
 def _product_table(perms: Sequence[Permutation]) -> tuple[int, ...]:
     """The 0-based index table of the product of ``perms`` (left to right),
     which act on one domain: one C-level ``itemgetter`` call per factor."""
-    table = perms[0]._index_table()
-    if len(table) < 2:  # the one permutation; itemgetter(i) returns an item, not a tuple
+    return _table_then(perms[0]._index_table(), perms[1:])
+
+
+def _table_then(table: tuple[int, ...], perms: Sequence[Permutation]) -> tuple[int, ...]:
+    """The index table ``table`` followed by the factors ``perms`` in turn."""
+    if len(table) < 2:  # every factor is the identity; itemgetter(i) returns an item
         return table
-    for p in perms[1:]:
+    for p in perms:
         table = itemgetter(*table)(p._index_table())
     return table
 
@@ -250,17 +258,38 @@ def compose(*perms: Permutation) -> Permutation:
 
 
 def conjugate(p: Permutation, by: Permutation) -> Permutation:
-    """by * p * by^-1 under the package convention (relabels p by by^-1)."""
+    """by * p * by^-1 under the package convention: p relabelled by by^-1.
+
+    One relabelling of index tables, with no inverse permutation built: the
+    result sends i to inv[p[by[i]]], inv the inverse index list of by, so
+    each cycle (x_1 ... x_k) of p becomes (by^-1(x_1) ... by^-1(x_k)).
+    """
     if p.domain != by.domain:
         raise PermError("degree mismatch in conjugation")
-    return compose(by, p, by.inverse())
+    return _relabelled(p, by._index_table())
+
+
+def _relabelled(p: Permutation, by_table: tuple[int, ...]) -> Permutation:
+    """`conjugate` of p by the permutation of p's domain whose 0-based index
+    table is ``by_table``, which need not be built: a caller conjugating by
+    a product passes its `_product_table`."""
+    dom = p.domain
+    if len(dom) < 2:  # the identity; itemgetter(i) returns an item, not a tuple
+        return Permutation._of(p.images, dom, p._pos)
+    inv = [0] * len(dom)
+    for i, j in enumerate(by_table):
+        inv[j] = i
+    table = itemgetter(*itemgetter(*by_table)(p._index_table()))(inv)
+    return Permutation._of(itemgetter(*table)(dom), dom, p._pos)
 
 
 def conjugator_matching(p: Permutation, q: Permutation) -> Permutation:
     """A permutation lam with conjugate(p, lam) == q.
 
     Deterministic: cycles are matched by length (longest first), ties by
-    smallest leading label, and mapped pointwise.
+    smallest leading label, and mapped pointwise.  The matching sends p's
+    layout onto q's; under this package's conjugation that map is lam^-1,
+    so lam is written from it directly: lam(y) = x where x is matched to y.
     """
     if p.domain != q.domain:
         raise PermError("degree mismatch")
@@ -269,13 +298,14 @@ def conjugator_matching(p: Permutation, q: Permutation) -> Permutation:
     key = lambda c: (-len(c), c[0])
     pc = sorted(p.cycles(), key=key)
     qc = sorted(q.cycles(), key=key)
-    point_map = {}
+    dom = p.domain
+    # equal cycle types: the matched cycles cover the domain, each point once
+    images = list(dom)
+    pos = None if p._std else p._positions()
     for a, b in zip(pc, qc):
         for x, y in zip(a, b):
-            point_map[x] = y
-    # point_map sends p's layout onto q's; under this package's conjugation
-    # that map is lam^-1.
-    return Permutation.from_mapping(point_map, p.domain).inverse()
+            images[y - 1 if pos is None else pos[y]] = x
+    return Permutation._of(tuple(images), dom, p._pos)
 
 
 # -- cycle notation -----------------------------------------------------------
@@ -346,7 +376,7 @@ class Partition:
     """Non-increasing positive parts with a fixed sum (the degree); the
     defect nu is the degree minus the number of parts."""
 
-    __slots__ = ("parts", "degree", "nu")
+    __slots__ = ("parts", "degree", "nu", "_hash")
 
     def __init__(self, parts: Iterable[int]):
         ps = tuple(sorted(parts, reverse=True))
@@ -357,6 +387,8 @@ class Partition:
         object.__setattr__(self, "parts", ps)
         object.__setattr__(self, "degree", sum(ps))
         object.__setattr__(self, "nu", self.degree - len(ps))
+        # every census memo key holds partitions: hash the parts once
+        object.__setattr__(self, "_hash", hash(ps))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -371,7 +403,7 @@ class Partition:
         return self.parts < other.parts
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return self._hash
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)

@@ -12,10 +12,11 @@ Primitivity may be settled by a subgroup.  A group containing a transitive
 primitive subgroup is itself transitive and primitive, because each of its
 block systems is one of the subgroup too.  Given a memo, the verifier tests
 ⟨u_1 u_2, u_3, ..., a⟩ and then ⟨u_2 u_3, u_1, u_4, ..., a⟩, built from the
-certificate's own images; the data of one census share such subgroups as
-they share their reductions, so the memo keeps subgroup verdicts, never a
-certificate's own.  Only when neither is "transitive and primitive" is the
-whole group tested, as it always is without a memo.
+certificate's own images and keyed on the index table of the merged
+product; the data of one census share such subgroups as they share their
+reductions, so the memo keeps subgroup verdicts, never a certificate's own.
+Only when neither is "transitive and primitive" is the whole group tested,
+as it always is without a memo.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .perm import (
     PermError,
     Permutation,
     _product_table,
+    _table_then,
     compose,
     format_cycles,
     parse_cycles,
@@ -183,13 +185,32 @@ def _group_verdict(*gens: Permutation) -> tuple[bool, bool]:
         return True, False
 
 
+def _subgroup_verdict(memo, head, x, y, *rest) -> tuple[bool, bool]:
+    """`_group_verdict` of ⟨x y, *rest⟩, kept in ``memo`` under ``head``,
+    the 0-based index table of x y, and ``rest``: on 1..d the table names
+    the product, so the product permutation is built only on a miss."""
+    key = (_subgroup_verdict, head, *rest)
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = _group_verdict(compose(x, y), *rest)
+    return verdict
+
+
 def verify_certificate(cert: HurwitzCertificate, memo=None) -> VerificationReport:
     """Re-derive every claim of the certificate independently of its builder.
+
+    The relation is checked as its rotation u_1 ... u_s a^2, which is the
+    identity exactly when a^2 u_1 ... u_s is, on the generators' 0-based
+    index tables: no product permutation is built, and the table of
+    u_1 u_2 leads.
 
     ``memo`` is a dict the caller owns (see `construct._shared`).  With a
     memo and at least four generators, the verdicts on ⟨u_1 u_2, u_3, ..., a⟩
     and, if needed, ⟨u_2 u_3, u_1, u_4, ..., a⟩ are looked up there or
-    computed and kept.  When one reads transitive and primitive, so is the
+    computed and kept.  A verdict is keyed on the index table of the merged
+    product (for u_1 u_2, the relation check's leading table) and the other
+    generators, so the product permutation is built only when a verdict is
+    computed.  When one reads transitive and primitive, so is the
     certificate's group, which contains that subgroup: a block system of a
     group is a block system of each of its subgroups (Wielandt, *Finite
     Permutation Groups*, 1964).  Otherwise, or with no memo, the whole group
@@ -198,23 +219,21 @@ def verify_certificate(cert: HurwitzCertificate, memo=None) -> VerificationRepor
     """
     chi = euler_characteristic(cert.base, cert.degree, cert.datum.nu)
 
-    images = cert.u_images
+    gens = cert.u_images
     if cert.a_image is not None:
-        images = (cert.a_image, cert.a_image, *images)
-    # on the generators' own index tables: no product permutation is built
-    relation_ok = _product_table(images) == tuple(range(cert.degree))
+        gens = (*gens, cert.a_image)
+    head = _product_table(gens[:2])
+    rest = gens[2:] if cert.a_image is None else (*gens[2:], cert.a_image)
+    relation_ok = _table_then(head, rest) == tuple(range(cert.degree))
 
     cycle_types_ok = all(
         u.cycle_type() == p for u, p in zip(cert.u_images, cert.datum.partitions)
     )
 
-    gens = cert.u_images
-    if cert.a_image is not None:
-        gens = (*gens, cert.a_image)
     # with three generators a merged subgroup is cyclic where the relation holds
     if memo is not None and len(gens) >= 4 and (
-        _shared(memo, _group_verdict, compose(gens[0], gens[1]), *gens[2:]) == (True, True)
-        or _shared(memo, _group_verdict, compose(gens[1], gens[2]), gens[0], *gens[3:])
+        _subgroup_verdict(memo, head, *gens) == (True, True)
+        or _subgroup_verdict(memo, _product_table(gens[1:3]), *gens[1:3], gens[0], *gens[3:])
         == (True, True)
     ):
         transitive = primitive = True

@@ -100,13 +100,13 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _census_certificates(d: int) -> str:
-    """The certificates of the data census(d, 3) constructs, enumerated as
-    the census enumerates its rows."""
+def _census_certificates(d: int, max_s: int = 3) -> str:
+    """The certificates of the data census(d, max_s) constructs, enumerated
+    as the census enumerates its rows."""
     memo = {}
     texts = []
     usable = [p for p in partitions_of(d) if not p.is_trivial()]
-    for s in (1, 2, 3):
+    for s in range(1, max_s + 1):
         for parts in combinations_with_replacement(usable, s):
             datum = BranchDatum(base="rp2", degree=d, partitions=parts)
             if admissible(datum) == (True, "strict"):
@@ -224,3 +224,18 @@ def test_reduced_defect_pairs_are_pinned(d):
             alpha, beta = product_defect_reduced(A, B)
             lines.append(f"{A};{B}|{format_cycles(alpha)}|{format_cycles(beta)}\n")
     assert _sha256("".join(lines)) == REDUCED_PAIR_DIGESTS[d]
+
+
+# certificate_to_text of every datum that census(d, max_s) constructs past
+# three branch points, keyed (d, max_s), as CENSUS_DIGESTS; (7, 5) is past the
+# public caps (`oracle._census_rows`).  Their reductions unwind by the (0, 1),
+# (0, 2) and (1, 2) moves in turn.
+DEEP_CENSUS_DIGESTS = {
+    (9, 4): "86b26126d910ef3d35df7e54635fcb0c2eaf63b669fc0d3605b055dfdab8be0f",
+    (7, 5): "2261eb4245faa725155ae04307a693308e5c1ac2bfdb69f69e0c163b1d822e07",
+}
+
+
+@pytest.mark.parametrize("d, max_s", sorted(DEEP_CENSUS_DIGESTS))
+def test_deep_census_certificates_are_pinned(d, max_s):
+    assert _sha256(_census_certificates(d, max_s)) == DEEP_CENSUS_DIGESTS[d, max_s]

@@ -301,3 +301,36 @@ def test_census_derives_each_relabelling_and_square_root_once_per_call(monkeypat
         return counts
 
     assert sweep() == sweep()  # a second call derives everything again
+
+
+def test_verifier_composes_once_per_distinct_subgroup(monkeypatch):
+    """Over one census call the verifier keys each subgroup verdict on the
+    index table of the merged product, so it composes that product only for
+    a verdict it computes: once per distinct subgroup, fewer times than
+    there are constructed s = 3 data.  A second call composes them again."""
+    products, subgroups = [], []
+
+    def composing(*perms):
+        product = compose(*perms)
+        products.append(product)
+        return product
+
+    def verdict(*gens):
+        if any(gens[0] is p for p in products):
+            subgroups.append(gens)
+        return original(*gens)
+
+    original = realize._group_verdict
+    monkeypatch.setattr(realize, "compose", composing)
+    monkeypatch.setattr(realize, "_group_verdict", verdict)
+
+    def sweep():
+        rows = list(census(7, 3))
+        s3 = sum(r.classification == "constructed" and r.datum.count(";") == 2 for r in rows)
+        count = len(products)
+        assert 0 < count == len(subgroups) == len(set(subgroups)) < s3
+        products.clear()
+        subgroups.clear()
+        return count
+
+    assert sweep() == sweep()

@@ -121,6 +121,53 @@ def test_conjugator_matching():
         conjugator_matching(parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3))
 
 
+def _shuffled(rng, dom):
+    imgs = list(dom)
+    rng.shuffle(imgs)
+    return Permutation(tuple(imgs), dom)
+
+
+@pytest.mark.parametrize("d", range(1, 14))
+def test_conjugate_matches_the_inverse_route(d):
+    """conjugate relabels p's index table through an inverse index list; it
+    equals by * p * by^-1 composed with the inverse permutation, on 1..d and
+    on a gapped domain."""
+    rng = random.Random(d)
+    gapped = tuple(sorted(rng.sample(range(1, 5 * d + 2), d)))
+    for dom in (tuple(range(1, d + 1)), gapped):
+        for _ in range(20):
+            p, by = _shuffled(rng, dom), _shuffled(rng, dom)
+            got = conjugate(p, by)
+            assert got == compose(by, p, by.inverse())
+            assert type(got.images) is tuple and got.domain == dom
+
+
+def _matching_by_mapping(p, q):
+    """conjugator_matching by the validated point map and its inverse."""
+    key = lambda c: (-len(c), c[0])
+    point_map = {}
+    for a, b in zip(sorted(p.cycles(), key=key), sorted(q.cycles(), key=key)):
+        point_map.update(zip(a, b))
+    return Permutation.from_mapping(point_map, p.domain).inverse()
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_conjugator_matching_matches_the_mapping_route(d):
+    """For seeded pairs of every class of degree d, on 1..d and on a gapped
+    domain, the matching conjugates p onto q and equals the inverse of the
+    validated point map."""
+    rng = random.Random(100 + d)
+    gapped = tuple(sorted(rng.sample(range(1, 5 * d + 2), d)))
+    for dom in (tuple(range(1, d + 1)), gapped):
+        for cls in partitions_of(d):
+            for _ in range(3):
+                p = random_in_class(cls, dom, rng)
+                q = random_in_class(cls, dom, rng)
+                lam = conjugator_matching(p, q)
+                assert conjugate(p, lam) == q
+                assert lam == _matching_by_mapping(p, q)
+
+
 def test_nu_parity_exhaustive_small():
     for d in (2, 3, 4, 5):
         perms = [Permutation(imgs) for imgs in permutations(range(1, d + 1))]
