@@ -456,7 +456,7 @@ def _shared(memo, build, *args):
     With ``memo`` None the value is built.  Otherwise ``memo`` is a dict that
     the caller owns and drops; the value is built once per key
     (build, *args) and shared.  Keys compare by value (`Permutation` hashes
-    its domain and images), so a hit needs equal arguments, not the same
+    its domain and index table), so a hit needs equal arguments, not the same
     origin.  Only derived values are stored, never a trace.
     """
     if memo is None:
@@ -483,17 +483,18 @@ def _reduction(memo, factor, A, B, seed):
     A `product_defect_reduced` step runs that function's one code path
     (`eks._reduced`) with its merge shared under the merge's own inputs
     (A, target, seed): an odd step merges onto B' as the even step with B'
-    does, so each distinct merge runs once per memo.
+    does, so each distinct merge runs once per memo.  Its product is the
+    one that the step's defect check composed.
     """
     key = (_reduction, factor, A, B, seed)
     step = None if memo is None else memo.get(key)
     if step is None:
         if factor is product_defect_reduced:
             merge = partial(_shared, memo, _canonical_merge)
-            gamma1, gamma2 = _reduced(A, B, seed, merge)
+            gamma1, gamma2, product = _reduced(A, B, seed, merge)
         else:
             gamma1, gamma2 = factor(A, B, seed)
-        product = compose(gamma1, gamma2)
+            product = compose(gamma1, gamma2)
         step = gamma1, gamma2, product, product.cycle_type()
         if memo is not None:
             memo[key] = step

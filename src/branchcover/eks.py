@@ -440,7 +440,7 @@ def product_defect_reduced(
     cycles.  Both run the one merge `_canonical_merge(A, target, seed)`, so
     the odd step's merge is the call that the even step with B' makes.
     """
-    return _reduced(A, B, seed, _canonical_merge)
+    return _reduced(A, B, seed, _canonical_merge)[:2]
 
 
 def _canonical_merge(A: Partition, target: Partition, seed: int):
@@ -452,7 +452,8 @@ def _canonical_merge(A: Partition, target: Partition, seed: int):
 def _reduced(A: Partition, B: Partition, seed: int, merge):
     """`product_defect_reduced`, with its merge ``merge(A, target, seed)``
     returning what `_canonical_merge` returns: `construct` passes one that
-    shares the merge within a census."""
+    shares the merge within a census.  Returns alpha, beta and the product
+    alpha * beta that the defect check composed."""
     if A.degree != B.degree:
         raise EksError("partition degrees differ")
     d = A.degree
@@ -471,9 +472,10 @@ def _reduced(A: Partition, B: Partition, seed: int, merge):
         beta = compose(beta, from_cycles([(x, y)], alpha.domain))
     if beta.cycle_type() != B:
         raise EksError("reduced-defect output has the wrong cycle type")
-    if compose(alpha, beta).nu() != (d - 1) - r % 2:
+    product = compose(alpha, beta)
+    if product.nu() != (d - 1) - r % 2:
         raise EksError("reduced-defect output misses the reduced defect")
-    return alpha, beta
+    return alpha, beta, product
 
 
 def factor_two_full_cycles(
@@ -494,7 +496,7 @@ def _factor_two_cycles_rng(tau, rng):
     dom = tau.domain
     n = len(dom)
     full = Partition([n])
-    labels = n if tau._std else dom  # an int domain is not re-validated per trial
+    labels = n if dom[-1] == n else dom  # an int domain is not re-validated per trial
     for _ in range(64 * n):
         gamma = random_in_class(full, labels, rng)
         sigma = compose(tau, gamma.inverse())

@@ -6,9 +6,9 @@ block system, and scanning the pairs (first point, x) decides primitivity
 with an explicit witness when the group is imprimitive.
 
 Every question is answered from one representation: the 0-based forward
-image table of each generator (`Permutation._index_table`), built once per
-permutation and kept on it.  The orbit walks and the closure all run on it,
-and no inverse table is built.  Transitivity is one walk from the first
+image table of each generator (`Permutation._table`), the form in which a
+permutation is stored.  The orbit walks and the closure all run on it, and
+no inverse table is built.  Transitivity is one walk from the first
 point that only counts the points it reaches.  An entry that needs a
 transitive group raises `IntransitiveError` for any other.
 """
@@ -51,7 +51,7 @@ def orbits(gens: Sequence[Permutation]) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the points under the generated group, as sorted
     label tuples ordered by their smallest label."""
     dom = _check_gens(gens)
-    tables = [g._index_table() for g in gens]
+    tables = [g._table for g in gens]
     seen = bytearray(len(dom))
     out = []
     for start in range(len(dom)):
@@ -89,14 +89,14 @@ def _reaches_all(tables, n: int) -> bool:
 
 def is_transitive(gens: Sequence[Permutation]) -> bool:
     dom = _check_gens(gens)
-    return _reaches_all([g._index_table() for g in gens], len(dom))
+    return _reaches_all([g._table for g in gens], len(dom))
 
 
 def _block_closure(tables, dom: tuple[int, ...], a: int, b: int):
     """Classes of the finest generator-stable equivalence with a ~ b.
 
     Atkinson's closure on one union-find list over ``tables``, the 0-based
-    forward image tables of the generators (`Permutation._index_table`);
+    forward image tables of the generators (`Permutation._table`);
     ``a`` and ``b`` are 0-based positions in ``dom``.  Returns None when
     everything falls into one class (stopping at the (n-1)-th merge), else
     the classes as sorted label tuples ordered by their smallest label.
@@ -146,7 +146,7 @@ def minimal_block(gens: Sequence[Permutation], seed_pair: tuple[int, int]) -> tu
         raise GroupError("seed points must be distinct")
     if a not in dom or b not in dom:
         raise GroupError("seed points outside the domain")
-    tables = [g._index_table() for g in gens]
+    tables = [g._table for g in gens]
     if not _reaches_all(tables, len(dom)):
         raise IntransitiveError("minimal blocks are defined for transitive groups only")
     classes = _block_closure(tables, dom, dom.index(a), dom.index(b))
@@ -177,7 +177,7 @@ def is_primitive(
     d = len(dom)
     if d < 2:
         raise GroupError("primitivity needs at least two points")
-    tables = [g._index_table() for g in gens]
+    tables = [g._table for g in gens]
     if not _reaches_all(tables, d):
         raise IntransitiveError("primitivity is defined for transitive groups only")
     if _largest_proper_divisor(d) == 1:

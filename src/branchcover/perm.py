@@ -14,32 +14,37 @@ Every construction in the package is verified by direct composition, so a
 single wrong convention would fail loudly; tests anchor the convention on
 a known golden product.
 
-A permutation is validated once, where it enters: ``Permutation(...)``,
-``Permutation.from_mapping``, ``identity`` and ``from_cycles`` /
-``parse_cycles`` check the domain, and that the labels form a bijection of
-it.  Derived results (``compose``, ``inverse``, ``conjugate``,
-``canonical_in_class``, and ``from_cycles`` once its cycles have passed)
-are built by ``Permutation._of`` without a second check: they are
-bijections of an already validated domain by construction.  Their
-arithmetic runs on 0-based index tables; for a domain other than 1..d the
-label-to-index map is built on first use and handed on to results on the
-same domain.  A product takes one path on every domain (`_product_table`):
-one C-level ``operator.itemgetter`` call per factor composes the index
-tables, and one more maps the indices back to labels.  A conjugate is one
-relabelling of the same kind: p's table read through the conjugator's
-table and then through its inverse index list, with no inverse
-permutation built; `conjugator_matching` writes its result from the
-matched points directly.  The verifier checks its relation on the same
-kernel without building the product.
+A permutation stores one form: the 0-based index table of its images,
+position i of the domain going to position ``_table[i]``, beside the sorted
+label tuple of its domain.  Labels become indices only where they enter
+(``Permutation(...)``, ``Permutation.from_mapping``, ``from_cycles`` /
+``parse_cycles`` and ``__call__``), and indices become labels only where
+they leave (``cycles()``, the derived ``images`` view and the cycle text),
+so the arithmetic never reads a label and runs alike on every domain.
 
-The derived views of a permutation (its 0-based index table, its cycles
-and its cycle type) are built once per permutation, on first use, and kept
-on the object; a permutation is immutable, so they never go stale.
+A permutation is validated once, where it enters: the constructors check
+the domain, and that the labels form a bijection of it.  Derived results
+(``compose``, ``inverse``, ``conjugate``, ``canonical_in_class``, and
+``from_cycles`` once its cycles have passed) are built by
+``Permutation._of`` from a table, without a second check: they are
+bijections of an already validated domain by construction.  A product is
+one C-level ``operator.itemgetter`` call per factor on the tables
+(`_product_table`), and its table is the result.  A conjugate is one
+relabelling of the same kind: p's table read through the conjugator's
+table and then through its inverse index list, with no inverse permutation
+built; `conjugator_matching` writes its result from the matched points
+directly.  The verifier checks its relation on the same kernel without
+building the product.
+
+The cycles and the cycle type of a permutation are built once, on first
+use, and kept on the object; a permutation is immutable, so they never go
+stale.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -61,17 +66,11 @@ def _as_domain(domain: Iterable[int] | int) -> tuple[int, ...]:
     return dom
 
 
-def _is_standard(dom: tuple[int, ...]) -> bool:
-    """Whether a validated domain is exactly 1..len(dom)."""
-    return not dom or (dom[0] == 1 and dom[-1] == len(dom))
-
-
 class Permutation:
-    """A bijection of a finite sorted label set, stored as an image table."""
+    """A bijection of a finite sorted label set, stored as its 0-based index
+    table: ``domain[i]`` goes to ``domain[_table[i]]``."""
 
-    __slots__ = (
-        "domain", "images", "_std", "_pos", "_cycles", "_table", "_type", "_hash"
-    )
+    __slots__ = ("domain", "_table", "_cycles", "_type", "_hash")
 
     def __init__(self, images: Sequence[int], domain: Iterable[int] | int | None = None):
         if domain is None:
@@ -83,50 +82,31 @@ class Permutation:
             raise PermError("image table length does not match domain size")
         if sorted(imgs) != list(dom):
             raise PermError("image table is not a bijection of the domain")
-        self._fill(imgs, dom, None)
+        pos = dict(zip(dom, range(len(dom))))
+        self._fill(tuple([pos[y] for y in imgs]), dom)
 
-    def _fill(self, images: tuple[int, ...], domain: tuple[int, ...], pos) -> None:
+    def _fill(self, table: tuple[int, ...], domain: tuple[int, ...]) -> None:
         self.domain = domain
-        self.images = images
-        self._std = _is_standard(domain)
-        self._pos = pos
+        self._table = table
         self._cycles = None
-        self._table = None
         self._type = None
         self._hash = None
 
     @classmethod
-    def _of(cls, images: tuple[int, ...], domain: tuple[int, ...], pos=None) -> Permutation:
+    def _of(cls, table: tuple[int, ...], domain: tuple[int, ...]) -> Permutation:
         """A derived result, built without checks: ``domain`` is already
-        validated and ``images`` is a bijection of it by construction.
-        ``pos`` may pass on the label index of a permutation on the same
-        domain."""
+        validated and ``table`` is a bijection of its positions by
+        construction."""
         p = object.__new__(cls)
-        p._fill(images, domain, pos)
+        p._fill(table, domain)
         return p
-
-    def _positions(self) -> dict[int, int]:
-        """Label -> 0-based index, built on first use (non-1..d domains only)."""
-        if self._pos is None:
-            self._pos = {x: i for i, x in enumerate(self.domain)}
-        return self._pos
-
-    def _index_table(self) -> tuple[int, ...]:
-        """The image table on 0-based indices, built on first use."""
-        if self._table is None:
-            if self._std:
-                self._table = tuple([y - 1 for y in self.images])
-            else:
-                pos = self._positions()
-                self._table = tuple([pos[y] for y in self.images])
-        return self._table
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def identity(domain: Iterable[int] | int) -> Permutation:
         dom = _as_domain(domain)
-        return Permutation._of(dom, dom)
+        return Permutation._of(tuple(range(len(dom))), dom)
 
     @staticmethod
     def from_mapping(mapping: dict[int, int], domain: Iterable[int] | int) -> Permutation:
@@ -142,27 +122,29 @@ class Permutation:
     def degree(self) -> int:
         return len(self.domain)
 
+    @property
+    def images(self) -> tuple[int, ...]:
+        """The image of each domain label, in domain order."""
+        return tuple(map(self.domain.__getitem__, self._table))
+
     def __call__(self, x: int) -> int:
         """The image of the label x; PermError unless x is an int of the domain."""
+        dom = self.domain
         if type(x) is int:
-            try:
-                if not self._std:
-                    return self.images[self._positions()[x]]
-                if x > 0:  # a label below 1 would index from the end
-                    return self.images[x - 1]
-            except (IndexError, KeyError):
-                pass
+            i = bisect_left(dom, x)
+            if i < len(dom) and dom[i] == x:
+                return dom[self._table[i]]
         raise PermError(f"label {x!r} is not in the domain")
 
     def is_identity(self) -> bool:
-        return self.images == self.domain
+        return self._table == tuple(range(len(self._table)))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """All cycles, trivial ones included; each starts at its smallest
         label and cycles are ordered by smallest label."""
         if self._cycles is None:
             dom = self.domain
-            nxt = self._index_table()
+            nxt = self._table
             seen = bytearray(len(dom))
             out = []
             for start in range(len(dom)):
@@ -193,28 +175,27 @@ class Permutation:
         return len(self.domain) - len(self.cycles())
 
     def support(self) -> tuple[int, ...]:
-        return tuple(x for x, y in zip(self.domain, self.images) if x != y)
+        return tuple(x for i, x in enumerate(self.domain) if self._table[i] != i)
 
     def fixed_points(self) -> tuple[int, ...]:
-        return tuple(x for x, y in zip(self.domain, self.images) if x == y)
+        return tuple(x for i, x in enumerate(self.domain) if self._table[i] == i)
 
     def inverse(self) -> Permutation:
-        dom = self.domain
-        inv = [0] * len(dom)
-        for x, i in zip(dom, self._index_table()):
-            inv[i] = x
-        return Permutation._of(tuple(inv), dom, self._pos)
+        inv = [0] * len(self._table)
+        for i, j in enumerate(self._table):
+            inv[j] = i
+        return Permutation._of(tuple(inv), self.domain)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Permutation)
             and self.domain == other.domain
-            and self.images == other.images
+            and self._table == other._table
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.domain, self.images))
+            self._hash = hash((self.domain, self._table))
         return self._hash
 
     def __repr__(self) -> str:
@@ -231,7 +212,7 @@ def identity(domain: Iterable[int] | int) -> Permutation:
 def _product_table(perms: Sequence[Permutation]) -> tuple[int, ...]:
     """The 0-based index table of the product of ``perms`` (left to right),
     which act on one domain: one C-level ``itemgetter`` call per factor."""
-    return _table_then(perms[0]._index_table(), perms[1:])
+    return _table_then(perms[0]._table, perms[1:])
 
 
 def _table_then(table: tuple[int, ...], perms: Sequence[Permutation]) -> tuple[int, ...]:
@@ -239,7 +220,7 @@ def _table_then(table: tuple[int, ...], perms: Sequence[Permutation]) -> tuple[i
     if len(table) < 2:  # every factor is the identity; itemgetter(i) returns an item
         return table
     for p in perms:
-        table = itemgetter(*table)(p._index_table())
+        table = itemgetter(*table)(p._table)
     return table
 
 
@@ -252,9 +233,7 @@ def compose(*perms: Permutation) -> Permutation:
     for p in perms[1:]:
         if p.domain is not dom and p.domain != dom:
             raise PermError("degree mismatch: factors act on different domains")
-    table = _product_table(perms)
-    images = itemgetter(*table)(dom) if len(dom) > 1 else dom
-    return Permutation._of(images, dom, first._pos)
+    return Permutation._of(_product_table(perms), dom)
 
 
 def conjugate(p: Permutation, by: Permutation) -> Permutation:
@@ -266,21 +245,19 @@ def conjugate(p: Permutation, by: Permutation) -> Permutation:
     """
     if p.domain != by.domain:
         raise PermError("degree mismatch in conjugation")
-    return _relabelled(p, by._index_table())
+    return _relabelled(p, by._table)
 
 
 def _relabelled(p: Permutation, by_table: tuple[int, ...]) -> Permutation:
     """`conjugate` of p by the permutation of p's domain whose 0-based index
     table is ``by_table``, which need not be built: a caller conjugating by
     a product passes its `_product_table`."""
-    dom = p.domain
-    if len(dom) < 2:  # the identity; itemgetter(i) returns an item, not a tuple
-        return Permutation._of(p.images, dom, p._pos)
-    inv = [0] * len(dom)
+    if len(by_table) < 2:  # the identity; itemgetter(i) returns an item, not a tuple
+        return p
+    inv = [0] * len(by_table)
     for i, j in enumerate(by_table):
         inv[j] = i
-    table = itemgetter(*itemgetter(*by_table)(p._index_table()))(inv)
-    return Permutation._of(itemgetter(*table)(dom), dom, p._pos)
+    return Permutation._of(itemgetter(*itemgetter(*by_table)(p._table))(inv), p.domain)
 
 
 def conjugator_matching(p: Permutation, q: Permutation) -> Permutation:
@@ -299,13 +276,13 @@ def conjugator_matching(p: Permutation, q: Permutation) -> Permutation:
     pc = sorted(p.cycles(), key=key)
     qc = sorted(q.cycles(), key=key)
     dom = p.domain
+    pos = dict(zip(dom, range(len(dom))))
     # equal cycle types: the matched cycles cover the domain, each point once
-    images = list(dom)
-    pos = None if p._std else p._positions()
+    table = [0] * len(dom)
     for a, b in zip(pc, qc):
         for x, y in zip(a, b):
-            images[y - 1 if pos is None else pos[y]] = x
-    return Permutation._of(tuple(images), dom, p._pos)
+            table[pos[y]] = pos[x]
+    return Permutation._of(tuple(table), dom)
 
 
 # -- cycle notation -----------------------------------------------------------
@@ -322,24 +299,22 @@ def from_cycles(
     cycles together, which makes the result a bijection without a further
     check."""
     dom = _as_domain(domain)
-    if _is_standard(dom):
-        pos = None
-        labels = range(1, len(dom) + 1)
-    else:
-        pos = labels = {x: i for i, x in enumerate(dom)}
-    images = list(dom)
+    pos = dict(zip(dom, range(len(dom))))
+    table = list(range(len(dom)))
     seen = bytearray(len(dom))
     for cyc in cycles:
-        cyc = tuple(cyc)
-        for x, y in zip(cyc, cyc[1:] + cyc[:1]):
-            if x not in labels:
+        idx = []
+        for x in cyc:
+            i = pos.get(x)
+            if i is None:
                 raise PermError(f"label {x} out of range for domain")
-            i = x - 1 if pos is None else pos[x]
             if seen[i]:
                 raise PermError(f"label {x} repeated in the cycles")
             seen[i] = 1
-            images[i] = y
-    return Permutation._of(tuple(images), dom, pos)
+            idx.append(i)
+        for i, j in zip(idx, idx[1:] + idx[:1]):
+            table[i] = j
+    return Permutation._of(tuple(table), dom)
 
 
 def parse_cycles(text: str, domain: Iterable[int] | int) -> Permutation:
@@ -535,14 +510,14 @@ def canonical_in_class(cls: Partition, domain: Iterable[int] | int) -> Permutati
     dom = _as_domain(domain)
     if sum(cls.parts) != len(dom):
         raise PermError("partition degree does not match the domain size")
-    # each cycle is a run of dom: a label maps to the next, the last to the first
-    images: list[int] = []
+    # each cycle is a run of positions: one maps to the next, the last to the first
+    table: list[int] = []
     i = 0
     for part in cls.parts:
-        images += dom[i + 1 : i + part]
-        images.append(dom[i])
+        table += range(i + 1, i + part)
+        table.append(i)
         i += part
-    return Permutation._of(tuple(images), dom)
+    return Permutation._of(tuple(table), dom)
 
 
 def random_in_class(cls: Partition, domain: Iterable[int] | int, rng) -> Permutation:

@@ -76,7 +76,7 @@ class HurwitzCertificate(_CertificateFields):
         if datum.degree != degree:
             raise ParseError("datum degree disagrees with the certificate degree")
         images = u_images if a_image is None else (a_image, *u_images)
-        if any(p.degree != degree or not p._std for p in images):
+        if any(p.degree != degree or p.domain[-1] != degree for p in images):
             raise ParseError(f"generator images must act on 1..{degree}")
         return super().__new__(cls, base, degree, datum, a_image, u_images)
 

@@ -159,7 +159,7 @@ def test_forward_closure_matches_the_two_sided_reference(gapped):
         d = rng.randint(2, 10)
         dom = list(primes[:d] if gapped else range(1, d + 1))
         gs = _random_gens(rng, dom, rng.randint(1, 3))
-        tables = [g._index_table() for g in gs]
+        tables = [g._table for g in gs]
         i, j = rng.sample(range(d), 2)
         ref = _reference_classes(gs, dom[i], dom[j])
         assert _block_closure(tables, tuple(dom), i, j) == ref
@@ -193,7 +193,7 @@ def test_prime_degree_needs_no_closure(monkeypatch, d, gapped):
             sets.append(gs)
     scans = []
     for gs in sets:
-        tables = [g._index_table() for g in gs]
+        tables = [g._table for g in gs]
         scans.append(all(_block_closure(tables, dom, 0, x) is None for x in range(1, d)))
 
     def no_closure(*args):
@@ -270,7 +270,7 @@ def _reference_is_primitive(gs):
         raise IntransitiveError("primitivity is defined for transitive groups only")
     if groups._largest_proper_divisor(d) == 1:
         return True, None
-    tables = [g._index_table() for g in gs]
+    tables = [g._table for g in gs]
     for x in range(1, d):
         classes = _block_closure(tables, dom, 0, x)
         if classes is None:

@@ -391,7 +391,8 @@ def _compose_by_list_comprehension(*perms):
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 301])
 def test_compose_matches_the_list_comprehension_reference(n):
     """One path for every domain, below 2 points too, where itemgetter of a
-    single index returns the item rather than a tuple."""
+    single index returns the item rather than a tuple.  The product's index
+    table is stored on it as composed, one object on every read."""
     rng = random.Random(n)
     gapped = tuple(sorted(rng.sample(range(1, 4 * n + 2), n)))
     for dom in (tuple(range(1, n + 1)), gapped):
@@ -405,29 +406,66 @@ def test_compose_matches_the_list_comprehension_reference(n):
                 got = compose(*perms)
                 assert type(got.images) is tuple and got.domain == dom
                 assert got.images == _compose_by_list_comprehension(*perms)
-                assert got._table is None
+                table = got._table
+                assert type(table) is tuple and got._table is table
+                assert table == tuple(dom.index(got(x)) for x in dom)
 
 
 @pytest.mark.parametrize("dom", [tuple(range(1, 8)), (2, 5, 7, 11, 12, 20, 31)])
 def test_index_table_and_cycle_type_are_built_once(dom):
-    """Each view is built on first use and kept: the same object on a
-    second call, equal to a fresh computation, and empty again on every
-    result derived from the permutation."""
+    """The index table is the stored form: every permutation, made by the
+    constructor or derived, holds it from the start, equal to a fresh
+    computation and the same object on every read.  The cycle type is built
+    on first use and kept: absent on every derived result, then the same
+    object on a second call."""
     rng = random.Random(len(dom) + dom[0])
     for _ in range(20):
         imgs = list(dom)
         rng.shuffle(imgs)
         p = Permutation(tuple(imgs), dom)
-        table = p._index_table()
-        assert type(table) is tuple and p._index_table() is table
-        assert table == tuple(dom.index(p(x)) for x in dom)
         ctype = p.cycle_type()
         assert p.cycle_type() is ctype
         assert ctype == Partition(len(c) for c in p.cycles())
-        for r in (compose(p, p), p.inverse(), conjugate(p, p.inverse())):
-            assert r._table is None and r._type is None
-            assert r._index_table() == tuple(dom.index(r(x)) for x in dom)
+        for r in (p, compose(p, p), p.inverse(), conjugate(p, p.inverse())):
+            table = r._table
+            assert type(table) is tuple and r._table is table
+            assert table == tuple(dom.index(r(x)) for x in dom)
+            assert r is p or r._type is None
             assert r.cycle_type() == Partition(len(c) for c in r.cycles())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
+def test_every_route_to_a_permutation_compares_and_hashes_alike(n):
+    """Memo keys rest on equal permutations hashing equal: each route to
+    one permutation gives an equal one with the same hash and images, on
+    1..n and on a gapped domain.  One index table on two domains gives two
+    unequal permutations."""
+    rng = random.Random(n)
+    for dom in (tuple(range(1, n + 1)), tuple(range(2, 3 * n + 2, 3))):
+        e = identity(dom)
+        perms = [canonical_in_class(cls, dom) for cls in partitions_of(n)]
+        for _ in range(12):
+            imgs = list(dom)
+            rng.shuffle(imgs)
+            perms.append(Permutation(tuple(imgs), dom))
+        for p in perms:
+            for r in (
+                Permutation(p.images, dom),
+                from_cycles(p.cycles(), dom),
+                Permutation.from_mapping(dict(zip(dom, p.images)), dom),
+                compose(p, e),
+                p.inverse().inverse(),
+                conjugate(p, e),
+            ):
+                assert r == p and hash(r) == hash(p) and r.images == p.images
+            c = canonical_in_class(p.cycle_type(), dom)
+            ref = _canonical_from_cycles(p.cycle_type(), dom)
+            assert c == ref and hash(c) == hash(ref)
+    for a, b in (
+        (identity((1, 2, 3)), identity((2, 4, 6))),
+        (Permutation((2, 3, 1)), Permutation((4, 6, 2), (2, 4, 6))),
+    ):
+        assert a._table == b._table and a != b and b != a
 
 
 def test_canonical_in_class():
