@@ -582,6 +582,9 @@ def _build(
     Returns the factors and their ordered product.  Each unwind step keeps
     the product (`_unwind_step`), so it is the last pair's product, composed
     once by `_pair`; callers take the a-image from it and do not recompose.
+    Above degree 3 a pair whose first partition has the smaller defect is
+    its mirror (D2, D1) swapped, so the memo builds one pair for both
+    orders; only the product is composed again, in this order.
     """
     d, nu = datum.degree, datum.nu
     parts = list(reversed(datum.partitions))
@@ -595,7 +598,12 @@ def _build(
         nu += D.nu - A.nu - B.nu
         steps.append((gamma1, gamma2, product, (i1, i2)))
 
-    lam, beta, total = _shared(memo, _pair, parts[-1], parts[-2], seed)
+    D1, D2 = parts[-1], parts[-2]
+    if d > 3 and D1.nu < D2.nu:  # `two_datum_construct` builds (D2, D1) and swaps it
+        beta, lam, _ = _shared(memo, _pair, D2, D1, seed)
+        total = _shared(memo, compose, lam, beta)
+    else:
+        lam, beta, total = _shared(memo, _pair, D1, D2, seed)
     stack = [beta, lam]
     for gamma1, gamma2, product, merged in reversed(steps):
         try:

@@ -521,18 +521,29 @@ def canonical_in_class(cls: Partition, domain: Iterable[int] | int) -> Permutati
 
 
 def random_in_class(cls: Partition, domain: Iterable[int] | int, rng) -> Permutation:
-    """Uniform random member of the conjugacy class ``cls`` on ``domain``."""
+    """Uniform random member of the conjugacy class ``cls`` on ``domain``.
+
+    The positions are shuffled and cut into runs of ``cls.parts``, each run
+    one cycle, written straight into the index table.  ``rng.shuffle``
+    picks its swaps from the list length alone, so this draws the same
+    member, from the same rng stream, as shuffling the labels and passing
+    the runs to ``from_cycles``."""
     dom = _as_domain(domain)
-    if sum(cls.parts) != len(dom):
+    n = len(dom)
+    if sum(cls.parts) != n:
         raise PermError("partition degree does not match the domain size")
-    shuffled = list(dom)
-    rng.shuffle(shuffled)
-    cycles = []
-    i = 0
+    order = list(range(n))
+    rng.shuffle(order)
+    # each position goes to the next one in its run, the last back to the first
+    succ = order[1:] + order[:1]
+    end = 0
     for part in cls.parts:
-        cycles.append(shuffled[i : i + part])
-        i += part
-    return from_cycles(cycles, dom)
+        end += part
+        succ[end - 1] = order[end - part]
+    table = [0] * n
+    for i, j in zip(order, succ):
+        table[i] = j
+    return Permutation._of(tuple(table), dom)
 
 
 def all_in_class(cls: Partition, domain: Iterable[int] | int) -> Iterator[Permutation]:

@@ -334,3 +334,23 @@ def test_verifier_composes_once_per_distinct_subgroup(monkeypatch):
         return count
 
     assert sweep() == sweep()
+
+
+def test_census_builds_each_nu_ordered_pair_once(monkeypatch):
+    """Above degree 3 `two_datum_construct(D1, D2)` with nu(D1) < nu(D2)
+    builds the pair for (D2, D1) and swaps it, so one census call builds
+    each pair once for both orders: as many pair builds as distinct
+    nu-ordered pairs, none of them with the smaller defect first."""
+    calls = []
+    original = construct.two_datum_construct
+
+    def counting(D1, D2, seed=0):
+        calls.append((D1, D2, seed))
+        return original(D1, D2, seed)
+
+    monkeypatch.setattr(construct, "two_datum_construct", counting)
+    rows = list(census(9, 3))
+    ordered = {(D2, D1, s) if D1.nu < D2.nu else (D1, D2, s) for D1, D2, s in calls}
+    assert len(calls) == len(ordered) == 157
+    assert all(D1.nu >= D2.nu for D1, D2, _ in calls)
+    assert sum(r.classification == "constructed" for r in rows) == 2322

@@ -502,6 +502,61 @@ def test_canonical_in_class_matches_the_cycle_route():
         canonical_in_class(Partition([2, 1]), [2, 5])
 
 
+def _random_in_class_by_labels(cls, dom, rng):
+    """The label-shuffle route: shuffle the labels, cut them into runs of
+    the parts, one cycle each, through `from_cycles`."""
+    labels = list(dom)
+    rng.shuffle(labels)
+    cycles, i = [], 0
+    for part in cls.parts:
+        cycles.append(labels[i : i + part])
+        i += part
+    return from_cycles(cycles, dom)
+
+
+def _assert_draws_as_the_label_shuffle(cls, domain, seed, draws):
+    """From equal rng states both routes give equal members and leave equal
+    states, draw after draw."""
+    dom = tuple(range(1, domain + 1)) if isinstance(domain, int) else domain
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        p = random_in_class(cls, domain, ours)
+        assert p == _random_in_class_by_labels(cls, dom, theirs)
+        assert p.domain == dom and p.cycle_type() == cls
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_random_in_class_draws_as_the_label_shuffle(n):
+    """Every partition of n, on 1..n (given as an int and as labels) and on
+    a gapped domain."""
+    gapped = tuple(sorted(random.Random(n).sample(range(1, 5 * n + 2), n)))
+    for k, cls in enumerate(partitions_of(n)):
+        for domain in (n, tuple(range(1, n + 1)), gapped):
+            _assert_draws_as_the_label_shuffle(cls, domain, 1000 * n + k, 4)
+
+
+def test_random_in_class_draws_as_the_label_shuffle_at_degree_301():
+    """Seeded partitions of 301, the extremes among them, on 1..301 and on a
+    gapped domain."""
+    rng = random.Random(301)
+    classes = [Partition([301]), Partition([2] * 150 + [1]), Partition([1] * 301)]
+    while len(classes) < 12:
+        parts, left = [], 301
+        while left:
+            parts.append(rng.randint(1, left))
+            left -= parts[-1]
+        classes.append(Partition(parts))
+    gapped = tuple(sorted(rng.sample(range(1, 2000), 301)))
+    for k, cls in enumerate(classes):
+        for domain in (301, gapped):
+            _assert_draws_as_the_label_shuffle(cls, domain, k, 3)
+    with pytest.raises(PermError):
+        random_in_class(Partition([2, 1]), 4, rng)
+    with pytest.raises(PermError):
+        random_in_class(Partition([2]), [3, 3], rng)
+
+
 def test_cycle_decomposition_recomposes():
     rng = random.Random(17)
     for _ in range(60):
