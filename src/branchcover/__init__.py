@@ -24,7 +24,6 @@ from .perm import (
     format_cycles,
     from_cycles,
     identity,
-    insertion_recombine,
     parse_cycles,
     project,
     sqrt_odd_cycle,
@@ -32,16 +31,12 @@ from .perm import (
 from .groups import (
     BlockSystem,
     GroupError,
-    decomposability_verdict,
     is_primitive,
     is_transitive,
-    minimal_block,
-    orbits,
     primitivity_fast_path,
 )
 from .eks import (
     EksError,
-    aligning_conjugator,
     eks_merge,
     factor_two_full_cycles,
     product_defect_exact,

@@ -10,10 +10,15 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from .construct import admissible, parse_datum, single_branch_verdict
+from .construct import (
+    admissible,
+    load_appendix_table,
+    parse_datum,
+    single_branch_verdict,
+)
 from .eks import EksError
 from .errors import InadmissibleError, ParseError, VerificationError
-from .oracle import census, verify_appendix_table
+from .oracle import census
 from .perm import PermError
 from .realize import (
     certificate_from_text,
@@ -77,8 +82,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_table(args) -> int:
-    report = verify_appendix_table()
-    print(f"{len(report)}/19 appendix rows verified")
+    rows = load_appendix_table()  # checks every row as it loads
+    print(f"{len(rows)}/19 appendix rows verified")
     return EXIT_OK
 
 

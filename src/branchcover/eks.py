@@ -12,9 +12,8 @@ Three services, each verified on every call:
   cycles: the odd step's merge is the even step's merge onto the target
   with one part split off, so `construct` shares it within a census);
 * factor a non-trivial even permutation into two full cycles
-  (`factor_two_full_cycles`) and align a full cycle onto a written one by
-  a conjugation fixing a marked point (`aligning_conjugator`, a public
-  helper that the merge path does not call).
+  (`factor_two_full_cycles`), the step by which a split merge absorbs its
+  even remainder.
 
 The primary merge path is greedy cycle threading: each k-cycle of the
 output consumes one fresh element from each of k distinct cycles of the
@@ -288,7 +287,7 @@ def _merge_split(lam: Permutation, target: Partition, anchor, seed):
     t2_parts = list(tail)
     t2_parts[j_idx] = tail[j_idx] - f + 1
     tau = _canonical_tau(t2_parts, j_idx, index[star], [index[x] for x in us])
-    sigma, _ = _factor_two_cycles_rng(tau, random.Random(seed))
+    sigma, _ = factor_two_full_cycles(tau, seed)
     return compose(beta_prime, _place_remainder(tau, sigma, index, star, prod)), True
 
 
@@ -299,8 +298,10 @@ def _place_remainder(tau, sigma, index, star, prod) -> Permutation:
     ``index`` numbers the points of sub 1..m in order, ``star`` among them.
     One relabelling carries the cycle of sigma^-1 onto prod's cycle
     restricted to sub, both read from star, and tau's cycles through it;
-    points outside sub stay fixed.  It does what conjugating tau by
-    `aligning_conjugator` on sub and embedding the result would do.
+    points outside sub stay fixed.  It does what conjugating tau on sub by
+    the conjugator that aligns sigma^-1 onto that cycle, fixing star, and
+    embedding the result would do (the tests keep that route as their
+    reference).
     """
     sig = _rotated(sigma.cycles()[0], index[star])
     src = (sig[0], *sig[:0:-1])  # sigma^-1 runs sigma's cycle backwards
@@ -320,14 +321,17 @@ def _rotated(cycle: Sequence[int], point: int) -> tuple[int, ...]:
 
 def _one_cycle(table: Sequence[int]) -> bool:
     """Whether a 0-based index table is one cycle through every point: a
-    single walk from point 0, with no permutation or cycle list built."""
-    if not table:
+    single walk from point 0, with no permutation or cycle list built.  The
+    walk stops after len(table) steps, so a table that is not a bijection,
+    whose walk may never return to 0, gives False."""
+    n = len(table)
+    if not n:
         return False
     i, length = table[0], 1
-    while i:
+    while i and length <= n:
         i = table[i]
         length += 1
-    return length == len(table)
+    return length == n
 
 
 def merge_with_trace(
@@ -544,23 +548,3 @@ def _factor_explicit(tau):
     if len(sigma.cycles()) != 1 or len(gamma.cycles()) != 1 or compose(sigma, gamma) != tau:
         raise EksError("explicit factorization output is not two full cycles over tau")
     return sigma, gamma
-
-
-def aligning_conjugator(
-    sigma: Permutation, target_cycle: Sequence[int], fixed: int
-) -> Permutation:
-    """eta with eta * sigma^-1 * eta^-1 equal to the written target cycle and
-    eta(fixed) == fixed."""
-    target = tuple(target_cycle)
-    if len(set(target)) != len(target):
-        raise EksError("target cycle repeats a label")
-    if sorted(target) != list(sigma.domain):
-        raise EksError("target cycle length or labels mismatch the point set")
-    if fixed not in target:
-        raise EksError("distinguished point absent from the target cycle")
-    sig_inv = sigma.inverse()
-    cycles = sig_inv.nontrivial_cycles()
-    if len(cycles) != 1 or len(cycles[0]) != len(sigma.domain):
-        raise EksError("sigma is not a full cycle on the point set")
-    src, tgt = _rotated(cycles[0], fixed), _rotated(target, fixed)
-    return Permutation.from_mapping(dict(zip(src, tgt)), sigma.domain).inverse()

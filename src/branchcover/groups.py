@@ -1,4 +1,4 @@
-"""Orbits, blocks and primitivity of generated permutation groups.
+"""Transitivity, blocks and primitivity of generated permutation groups.
 
 The block machinery is the classical minimal-block closure: the finest
 generator-stable equivalence identifying a seed pair.  Its classes form a
@@ -7,8 +7,8 @@ with an explicit witness when the group is imprimitive.
 
 Every question is answered from one representation: the 0-based forward
 image table of each generator (`Permutation._table`), the form in which a
-permutation is stored.  The orbit walks and the closure all run on it, and
-no inverse table is built.  Transitivity is one walk from the first
+permutation is stored.  The orbit walk and the closure both run on it,
+and no inverse table is built.  Transitivity is one walk from the first
 point that only counts the points it reaches.  An entry that needs a
 transitive group raises `IntransitiveError` for any other.
 """
@@ -45,29 +45,6 @@ def _check_gens(gens: Sequence[Permutation]) -> tuple[int, ...]:
         if g.domain != dom:
             raise GroupError("generators act on different domains")
     return dom
-
-
-def orbits(gens: Sequence[Permutation]) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of the points under the generated group, as sorted
-    label tuples ordered by their smallest label."""
-    dom = _check_gens(gens)
-    tables = [g._table for g in gens]
-    seen = bytearray(len(dom))
-    out = []
-    for start in range(len(dom)):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        orbit = [start]
-        for x in orbit:  # the list grows while it is walked
-            for t in tables:
-                y = t[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    orbit.append(y)
-        orbit.sort()
-        out.append(tuple(dom[i] for i in orbit))
-    return tuple(out)
 
 
 def _reaches_all(tables, n: int) -> bool:
@@ -136,23 +113,6 @@ def _block_closure(tables, dom: tuple[int, ...], a: int, b: int):
             r = parent[r]
         classes.setdefault(r, []).append(dom[i])
     return tuple(tuple(c) for c in classes.values())
-
-
-def minimal_block(gens: Sequence[Permutation], seed_pair: tuple[int, int]) -> tuple[int, ...]:
-    """Smallest block of the generated group containing both seed points."""
-    dom = _check_gens(gens)
-    a, b = seed_pair
-    if a == b:
-        raise GroupError("seed points must be distinct")
-    if a not in dom or b not in dom:
-        raise GroupError("seed points outside the domain")
-    tables = [g._table for g in gens]
-    if not _reaches_all(tables, len(dom)):
-        raise IntransitiveError("minimal blocks are defined for transitive groups only")
-    classes = _block_closure(tables, dom, dom.index(a), dom.index(b))
-    if classes is None:
-        return dom
-    return next(c for c in classes if a in c)
 
 
 def _largest_proper_divisor(d: int) -> int:
@@ -232,13 +192,3 @@ def primitivity_fast_path(gens: Sequence[Permutation], l: int) -> bool | None:
     if len(gens) > 1 and _isolated_cycle(compose(*gens), l):
         return True
     return None
-
-
-def decomposability_verdict(
-    gens: Sequence[Permutation],
-) -> tuple[str, BlockSystem | None]:
-    """'indecomposable' iff the monodromy group is primitive; a disconnected
-    covering surface (an intransitive group) has no verdict and raises
-    `IntransitiveError`."""
-    prim, witness = is_primitive(gens)
-    return ("indecomposable", None) if prim else ("decomposable", witness)

@@ -1,9 +1,8 @@
 """Brute-force ground truth at desk scale.
 
 Exhaustive scans certify the constructive pipeline: class-wide search for
-two-partition witnesses, full enumeration of block systems, replay of the
-golden table, and a census that realizes and verifies every admissible
-datum of a given degree.
+two-partition witnesses, full enumeration of block systems, and a census
+that realizes and verifies every admissible datum of a given degree.
 """
 
 from __future__ import annotations
@@ -12,10 +11,9 @@ import time
 from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple, Sequence
 
-from .construct import BranchDatum, _admission, load_appendix_table
-from .eks import EksError
+from .construct import BranchDatum, _admission
 from .errors import InadmissibleError
-from .groups import BlockSystem, is_primitive, is_transitive
+from .groups import BlockSystem, is_transitive
 from .perm import Partition, Permutation, all_in_class, canonical_in_class, compose
 from .realize import realize_rp2
 
@@ -99,28 +97,6 @@ def exhaustive_blocks(
                     )
                 )
     return tuple(out)
-
-
-def verify_appendix_table() -> list[dict]:
-    """Replay the 19 golden rows with full checks; any failure is a hard error."""
-    report = []
-    for row in load_appendix_table():
-        d = row.degree
-        prod = compose(row.lam, row.beta)
-        entry = {
-            "index": row.index,
-            "degree": d,
-            "lam_in_D1": row.lam.cycle_type() == row.D1,
-            "beta_in_D2": row.beta.cycle_type() == row.D2,
-            "product_class_ok": prod.cycle_type() == Partition([d - 2, 1, 1]),
-            "product_stated_ok": prod == row.product,
-            "transitive": is_transitive([row.lam, row.beta]),
-            "primitive": is_primitive([row.lam, row.beta])[0],
-        }
-        if not all(v for k, v in entry.items() if k not in ("index", "degree")):
-            raise EksError(f"appendix row {row.index} failed: {entry}")
-        report.append(entry)
-    return report
 
 
 # -- census ------------------------------------------------------------------------

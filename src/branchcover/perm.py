@@ -3,8 +3,7 @@
 Permutations act on an explicit sorted domain of positive integer labels
 (by default 1..d).  Keeping the domain explicit lets projections onto a
 subset of the points retain the original labels, which in turn makes the
-run-insertion calculus (`project` / `embed` / `insertion_recombine`)
-auditable by eye.
+projection calculus (`project` / `embed`) auditable by eye.
 
 Composition convention, fixed once for the whole package:
 
@@ -141,7 +140,9 @@ class Permutation:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """All cycles, trivial ones included; each starts at its smallest
-        label and cycles are ordered by smallest label."""
+        label and cycles are ordered by smallest label.  A table that is
+        not a bijection raises `PermError`: some walk reaches a position
+        already seen that is not its start."""
         if self._cycles is None:
             dom = self.domain
             nxt = self._table
@@ -153,10 +154,13 @@ class Permutation:
                 seen[start] = 1
                 cyc = [dom[start]]
                 i = nxt[start]
-                while i != start:
+                while not seen[i]:
                     seen[i] = 1
                     cyc.append(dom[i])
                     i = nxt[i]
+                # on a bijection the first seen position is the start
+                if i != start:
+                    raise PermError("index table is not a bijection")
                 out.append(tuple(cyc))
             self._cycles = tuple(out)
         return self._cycles
@@ -410,10 +414,6 @@ class Partition:
         return Partition(parts)
 
 
-def _keep_labels(keep) -> tuple[int, ...]:
-    return tuple(sorted(set(keep)))
-
-
 def sqrt_odd_cycle(p: Permutation) -> Permutation:
     """Square root of a single odd-length cycle (fixed points allowed).
 
@@ -439,7 +439,7 @@ def sqrt_odd_cycle(p: Permutation) -> Permutation:
 
 def project(p: Permutation, keep) -> Permutation:
     """Delete the labels outside ``keep`` from p's cycles (labels preserved)."""
-    kept = _keep_labels(keep)
+    kept = tuple(sorted(set(keep)))
     if not kept:
         raise PermError("cannot project onto the empty set")
     keep_set = set(kept)
@@ -459,49 +459,6 @@ def embed(p_sub: Permutation, ambient: Iterable[int] | int) -> Permutation:
     if not set(p_sub.domain).issubset(dom):
         raise PermError("subset labels out of range for the ambient domain")
     return from_cycles(p_sub.nontrivial_cycles(), dom)
-
-
-def insertion_recombine(lam: Permutation, downstairs: Permutation, keep) -> Permutation:
-    """Recombine lam with a product computed on the kept points.
-
-    Given the product ``downstairs == project(lam, keep) * b`` for some
-    permutation b of ``keep``, produce ``lam * embed(b)`` symbolically: in
-    each cycle of ``downstairs`` every kept label w is replaced by w followed
-    by its run of deleted labels from lam's cyclic decomposition, and cycles
-    of lam wholly outside ``keep`` pass through verbatim.
-    """
-    kept = _keep_labels(keep)
-    keep_set = set(kept)
-    if downstairs.domain != kept:
-        raise PermError("downstairs permutation does not act on the kept points")
-    if not keep_set.issubset(lam.domain):
-        raise PermError("kept points not in lam's domain")
-    runs: dict[int, list[int]] = {}
-    outside = []
-    for cyc in lam.cycles():
-        anchors = [i for i, x in enumerate(cyc) if x in keep_set]
-        if not anchors:
-            if len(cyc) > 1:
-                outside.append(cyc)
-            continue
-        n = len(cyc)
-        for j, i in enumerate(anchors):
-            stop = anchors[(j + 1) % len(anchors)]
-            run = []
-            k = (i + 1) % n
-            while k != stop:
-                run.append(cyc[k])
-                k = (k + 1) % n
-            runs[cyc[i]] = run
-    cycles = list(outside)
-    for cyc in downstairs.cycles():
-        expanded = []
-        for w in cyc:
-            expanded.append(w)
-            expanded.extend(runs[w])
-        if len(expanded) > 1:
-            cycles.append(expanded)
-    return from_cycles(cycles, lam.domain)
 
 
 def canonical_in_class(cls: Partition, domain: Iterable[int] | int) -> Permutation:

@@ -374,6 +374,33 @@ def test_check_table(capsys):
     assert "19/19" in out
 
 
+def test_check_table_checks_each_row_once(capsys, monkeypatch):
+    """A fresh load checks each golden row as it loads it, one primitivity
+    verdict per row, and check-table checks nothing a second time."""
+    calls = {"primitivity": 0, "is_transitive": 0}
+
+    def counting(key, check):
+        def wrapper(*args):
+            calls[key] += 1
+            return check(*args)
+
+        return wrapper
+
+    names = {
+        "is_primitive": "primitivity",
+        "primitivity_fast_path": "primitivity",
+        "is_transitive": "is_transitive",
+    }
+    for module in (cli, construct, oracle, realize):
+        for name, key in names.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+    construct.load_appendix_table.cache_clear()
+    code, out, _ = run(capsys, "check-table")
+    assert (code, out) == (0, "19/19 appendix rows verified\n")
+    assert calls == {"primitivity": 19, "is_transitive": 0}
+
+
 def test_census_cli(capsys):
     code, out, _ = run(capsys, "census", "--degree", "5", "--max-s", "2", "--quiet")
     assert code == 0

@@ -12,7 +12,6 @@ from branchcover.construct import two_datum_construct
 from branchcover.eks import (
     EksError,
     _thread,
-    aligning_conjugator,
     eks_merge,
     factor_two_full_cycles,
     merge_with_trace,
@@ -339,6 +338,13 @@ def test_split_merge_is_quasi_linear_at_degree_8001():
     assert hashlib.sha256(format_cycles(beta).encode()).hexdigest() == SPLIT_D8001_DIGEST
 
 
+def test_one_cycle_stops_on_a_table_that_is_not_a_bijection():
+    """The walk from 0 falls into the cycle (1 2), which misses 0, and stops
+    after len(table) steps."""
+    assert eks._one_cycle((1, 2, 1)) is False
+    assert eks._one_cycle((1, 2, 0)) is True  # a full cycle takes all n steps
+
+
 def test_factor_two_full_cycles_examples():
     s, g = factor_two_full_cycles(parse_cycles("(1 2 3)", 3))
     assert s == g == parse_cycles("(1 3 2)", 3)
@@ -442,6 +448,25 @@ def _random_partition(rng, d):
 def _on_labels(p, sub):
     """p, a permutation of 1..m, moved onto the labels ``sub`` in order."""
     return from_cycles([[sub[x - 1] for x in c] for c in p.cycles()], sub)
+
+
+def aligning_conjugator(sigma, target_cycle, fixed):
+    """eta with eta * sigma^-1 * eta^-1 equal to the written target cycle and
+    eta(fixed) == fixed: the reference conjugator of the route that
+    `_place_remainder` replaced."""
+    target = tuple(target_cycle)
+    if len(set(target)) != len(target):
+        raise EksError("target cycle repeats a label")
+    if sorted(target) != list(sigma.domain):
+        raise EksError("target cycle length or labels mismatch the point set")
+    if fixed not in target:
+        raise EksError("distinguished point absent from the target cycle")
+    sig_inv = sigma.inverse()
+    cycles = sig_inv.nontrivial_cycles()
+    if len(cycles) != 1 or len(cycles[0]) != len(sigma.domain):
+        raise EksError("sigma is not a full cycle on the point set")
+    src, tgt = eks._rotated(cycles[0], fixed), eks._rotated(target, fixed)
+    return Permutation.from_mapping(dict(zip(src, tgt)), sigma.domain).inverse()
 
 
 def _place_by_conjugation(tau, sigma, index, star, prod):

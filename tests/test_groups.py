@@ -1,4 +1,4 @@
-"""Orbits, blocks, primitivity, and the decomposability verdict."""
+"""Transitivity, blocks and primitivity."""
 
 import random
 
@@ -9,11 +9,8 @@ from branchcover.groups import (
     GroupError,
     IntransitiveError,
     _block_closure,
-    decomposability_verdict,
     is_primitive,
     is_transitive,
-    minimal_block,
-    orbits,
     primitivity_fast_path,
 )
 from branchcover.perm import Permutation, identity, parse_cycles
@@ -21,6 +18,30 @@ from branchcover.perm import Permutation, identity, parse_cycles
 
 def gens(*texts, d):
     return [parse_cycles(t, d) for t in texts]
+
+
+def orbits(gs):
+    """Orbit partition of the points under the generated group, as sorted
+    label tuples ordered by their smallest label: the reference that the
+    counting walk of `is_transitive` is compared against."""
+    dom = gs[0].domain
+    tables = [g._table for g in gs]
+    seen = bytearray(len(dom))
+    out = []
+    for start in range(len(dom)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        for x in orbit:  # the list grows while it is walked
+            for t in tables:
+                y = t[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        orbit.sort()
+        out.append(tuple(dom[i] for i in orbit))
+    return tuple(out)
 
 
 def test_orbits_examples():
@@ -37,17 +58,6 @@ def test_is_transitive_examples():
     assert not is_transitive(gens("(1 2)", "(3 4)", d=4))
 
 
-def test_minimal_block_examples():
-    assert minimal_block(gens("(1 2 3 4)", d=4), (1, 3)) == (1, 3)
-    sym = gens("(1 2)", "(1 2 3 4)", d=4)
-    assert minimal_block(sym, (1, 2)) == (1, 2, 3, 4)
-    assert minimal_block(gens("(1 2 3 4 5 6)", d=6), (1, 4)) == (1, 4)
-    with pytest.raises(GroupError):
-        minimal_block(gens("(1 2)", d=4), (1, 2))
-    with pytest.raises(GroupError):
-        minimal_block(sym, (2, 2))
-
-
 def test_minimal_block_closure_invariant():
     rng = random.Random(11)
     for _ in range(100):
@@ -59,7 +69,9 @@ def test_minimal_block_closure_invariant():
             if is_transitive(gs):
                 break
         x = rng.randint(2, d)
-        block = set(minimal_block(gs, (1, x)))
+        classes = _block_closure([g._table for g in gs], gs[0].domain, 0, x - 1)
+        # classes[0] is the class of the first point, 1
+        block = set(range(1, d + 1)) if classes is None else set(classes[0])
         for g in gs:
             image = {g(y) for y in block}
             assert image == block or not (image & block)
@@ -90,11 +102,7 @@ def test_every_entry_raises_intransitive_error_for_an_intransitive_span():
     with pytest.raises(IntransitiveError):
         is_primitive(gs)
     with pytest.raises(IntransitiveError):
-        minimal_block(gs, (1, 2))
-    with pytest.raises(IntransitiveError):
         primitivity_fast_path(gs, 3)
-    with pytest.raises(IntransitiveError):
-        decomposability_verdict(gs)
 
 
 def _reference_classes(gs, a, b):
@@ -245,17 +253,6 @@ def test_fast_path_never_contradicts_exact():
                 fast = primitivity_fast_path(gs, len(cyc))
                 if fast is True:
                     assert is_primitive(gs)[0]
-
-
-def test_decomposability_verdict_examples():
-    verdict, witness = decomposability_verdict(gens("(1 2 3 4 5 6 7 8 9)", d=9))
-    assert verdict == "decomposable"
-    assert witness.block_size in (3,)
-    line1 = gens("(1 2 3)(4 5)", "(5 4 1)(3 2)", d=5)
-    assert decomposability_verdict(line1) == ("indecomposable", None)
-    assert decomposability_verdict(gens("(1 2 3 4 5)", d=5)) == ("indecomposable", None)
-    with pytest.raises(GroupError):
-        decomposability_verdict(gens("(1 2)", d=4))
 
 
 def _reference_is_primitive(gs):

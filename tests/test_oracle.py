@@ -15,7 +15,6 @@ from branchcover.oracle import (
     census,
     exhaustive_blocks,
     partitions_of,
-    verify_appendix_table,
 )
 from branchcover.perm import Partition, Permutation, compose, parse_cycles
 from branchcover.realize import certificate_to_text, realize_rp2
@@ -152,9 +151,10 @@ def test_exact_primitivity_on_a_large_wreath_product():
 
 
 def test_verify_appendix_table():
-    report = verify_appendix_table()
-    assert len(report) == 19
-    assert all(r["primitive"] and r["transitive"] for r in report)
+    construct.load_appendix_table.cache_clear()  # each load checks every row
+    rows = construct.load_appendix_table()
+    assert len(rows) == 19
+    assert all(is_primitive([r.lam, r.beta])[0] for r in rows)
 
 
 def test_census_small():

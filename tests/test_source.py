@@ -43,3 +43,47 @@ def test_only_perm_reads_the_stored_form():
         and node.attr in private - allowed.get(path.name, set())
     ]
     assert found == []
+
+
+# Public names that no command reaches, kept on purpose, each with its reason.
+UNREACHED_ON_PURPOSE = {
+    "brute_force_two_datum": "documented brute-force oracle: witnesses by class-wide search",
+    "exhaustive_blocks": "documented brute-force oracle: every block system by enumeration",
+}
+
+
+def _referenced(tree) -> set[str]:
+    """Every name, attribute and string constant that ``tree`` mentions."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_public_name_is_reached():
+    """Library code is what the package or the benchmark reaches: each
+    public top-level function and class of a module is referenced by code
+    elsewhere in the package (outside its own body; an `__init__` export
+    is no reference) or named in `perfbench/*.py`.  Reference code that
+    only tests call belongs to the tests."""
+    package = Path(branchcover.__file__).parent
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    named = set()
+    for path in sorted(perfbench.glob("*.py")):
+        named |= _referenced(ast.parse(path.read_text(), filename=str(path)))
+    public = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            own = getattr(node, "name", None)
+            named |= _referenced(node) - {own}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                public.add(own)
+    assert perfbench.is_dir() and public
+    assert sorted(public - named) == sorted(UNREACHED_ON_PURPOSE)
