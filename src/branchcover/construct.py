@@ -584,7 +584,7 @@ def _build(
     once by `_pair`; callers take the a-image from it and do not recompose.
     Above degree 3 a pair whose first partition has the smaller defect is
     its mirror (D2, D1) swapped, so the memo builds one pair for both
-    orders; only the product is composed again, in this order.
+    orders; only the product is composed again, in this order, each time.
     """
     d, nu = datum.degree, datum.nu
     parts = list(reversed(datum.partitions))
@@ -601,7 +601,7 @@ def _build(
     D1, D2 = parts[-1], parts[-2]
     if d > 3 and D1.nu < D2.nu:  # `two_datum_construct` builds (D2, D1) and swaps it
         beta, lam, _ = _shared(memo, _pair, D2, D1, seed)
-        total = _shared(memo, compose, lam, beta)
+        total = compose(lam, beta)
     else:
         lam, beta, total = _shared(memo, _pair, D1, D2, seed)
     stack = [beta, lam]

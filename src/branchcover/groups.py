@@ -15,7 +15,7 @@ transitive group raises `IntransitiveError` for any other.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple, Sequence
 
 from .perm import Permutation, compose
@@ -49,7 +49,8 @@ def _check_gens(gens: Sequence[Permutation]) -> tuple[int, ...]:
 
 def _reaches_all(tables, n: int) -> bool:
     """Whether the orbit of index 0 under the 0-based image ``tables``
-    covers all n indices; False on an empty domain, which has no orbit."""
+    covers all n indices; False on an empty domain, which has no orbit.
+    The walk stops at the n-th point it reaches."""
     if not n:
         return False
     seen = bytearray(n)
@@ -61,6 +62,8 @@ def _reaches_all(tables, n: int) -> bool:
             if not seen[y]:
                 seen[y] = 1
                 orbit.append(y)
+                if len(orbit) == n:
+                    return True
     return len(orbit) == n
 
 
@@ -156,39 +159,40 @@ def is_primitive(
     return True, None
 
 
-def _isolated_cycle(p: Permutation, l: int) -> bool:
-    """True when a power of p is an l-cycle: l occurs once among the cycle
-    lengths of p and is coprime to every other length."""
-    lengths = [len(c) for c in p.cycles()]
-    if lengths.count(l) != 1:
+def _witness_cycle(gens: Sequence[Permutation], l: int) -> bool:
+    """Whether a power of one generator is an l-cycle, with gcd(l, d) = 1 and
+    l above every proper divisor of d: a transitive group the generators span
+    is then primitive.
+
+    A power of g is an l-cycle when l occurs once among g's cycle lengths
+    and is coprime to every other one, that is to their product.  A block
+    meeting that cycle's support either is moved by the cycle, so it holds
+    no fixed point of it and its images tile the support, and its size
+    divides l; or it is kept, so it holds the whole support, and its size is
+    at least l.  Its size also divides d, so it is one point or every point
+    (Wielandt, *Finite Permutation Groups*, 1964).
+    """
+    d = gens[0].degree
+    if gcd(l, d) != 1 or l <= _largest_proper_divisor(d):
         return False
-    return all(m == l or gcd(l, m) == 1 for m in lengths)
+    for g in gens:
+        parts = g.cycle_type().parts
+        if parts.count(l) == 1 and gcd(l, prod(parts) // l) == 1:
+            return True
+    return False
 
 
 def primitivity_fast_path(gens: Sequence[Permutation], l: int) -> bool | None:
-    """Sufficient primitivity criterion from a long coprime cycle.
+    """Sufficient primitivity criterion from a long coprime cycle
+    (`_witness_cycle`).
 
-    A transitive group containing an l-cycle is primitive when gcd(l, d) = 1
-    and l exceeds every non-trivial divisor of d: a block meeting the cycle's
-    support either contains it or, with its images, tiles it, so the block
-    size divides l or is at least l.  The l-cycle is not taken on trust: it
-    must be a power of one generator or of the ordered product of all
-    generators.  Returns True when the criterion applies, None when it is
-    inconclusive (fall back to the exact test); never contradicts
-    `is_primitive`.
+    The l-cycle is not taken on trust: it must be a power of one generator
+    or of the ordered product of all generators.  Returns True when the
+    criterion applies, None when it is inconclusive (fall back to the exact
+    test); never contradicts `is_primitive`.
     """
-    dom = _check_gens(gens)
-    d = len(dom)
     if not is_transitive(gens):
         raise IntransitiveError("fast path needs a transitive generator set")
-    if l < 1 or l > d:
-        return None
-    if gcd(l, d) != 1:
-        return None
-    if l <= _largest_proper_divisor(d):
-        return None
-    if any(_isolated_cycle(g, l) for g in gens):
-        return True
-    if len(gens) > 1 and _isolated_cycle(compose(*gens), l):
+    if _witness_cycle(gens, l) or (len(gens) > 1 and _witness_cycle([compose(*gens)], l)):
         return True
     return None

@@ -141,9 +141,9 @@ def census(d: int, max_s: int, seed: int = 0) -> Iterator[CensusRow]:
     share the factor pairs of identical sub-constructions (`construct`'s
     ``memo``) through one dict that lives as long as the returned iterator,
     so a second call builds everything again.  Each certificate is still
-    verified on its own, once, by the independent verifier, which may settle
-    primitivity from the verdict on a subgroup that it computed earlier in
-    the same call (see `realize.verify_certificate`).
+    verified on its own, once, by the independent verifier, which keeps
+    nothing between certificates: the certificate's (d-2)-cycle settles
+    primitivity with one orbit walk (see `realize.verify_certificate`).
     """
     if d % 2 == 0 or not 3 <= d <= 13:
         raise InadmissibleError("census caps: d odd, from 3 to 13")

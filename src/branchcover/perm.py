@@ -216,14 +216,10 @@ def identity(domain: Iterable[int] | int) -> Permutation:
 def _product_table(perms: Sequence[Permutation]) -> tuple[int, ...]:
     """The 0-based index table of the product of ``perms`` (left to right),
     which act on one domain: one C-level ``itemgetter`` call per factor."""
-    return _table_then(perms[0]._table, perms[1:])
-
-
-def _table_then(table: tuple[int, ...], perms: Sequence[Permutation]) -> tuple[int, ...]:
-    """The index table ``table`` followed by the factors ``perms`` in turn."""
+    table = perms[0]._table
     if len(table) < 2:  # every factor is the identity; itemgetter(i) returns an item
         return table
-    for p in perms:
+    for p in perms[1:]:
         table = itemgetter(*table)(p._table)
     return table
 

@@ -6,17 +6,14 @@ the single relation a^2 * u_1 * ... * u_s = 1; for the sphere the a-image
 is absent and the u-images multiply to the identity.  The verifier
 re-derives every claim (relation, per-point cycle types, transitivity,
 primitivity, Euler characteristic) from the certificate alone, never
-reusing builder state.
+reusing builder state, and in the same way for every command.
 
-Primitivity may be settled by a subgroup.  A group containing a transitive
-primitive subgroup is itself transitive and primitive, because each of its
-block systems is one of the subgroup too.  Given a memo, the verifier tests
-⟨u_1 u_2, u_3, ..., a⟩ and then ⟨u_2 u_3, u_1, u_4, ..., a⟩, built from the
-certificate's own images and keyed on the index table of the merged
-product; the data of one census share such subgroups as they share their
-reductions, so the memo keeps subgroup verdicts, never a certificate's own.
-Only when neither is "transitive and primitive" is the whole group tested,
-as it always is without a memo.
+Primitivity is settled by the construction's own witness when the
+certificate carries it.  The a-image of a constructed certificate is a
+(d-2)-cycle, since a^-2 = u_1 ... u_s is one, and so is u_1 over the sphere;
+for odd d >= 5 a transitive group containing a (d-2)-cycle is primitive
+(`groups._witness_cycle`), so one orbit walk gives the verdict.  Any other
+certificate gets the exact test of `groups.is_primitive`.
 """
 
 from __future__ import annotations
@@ -33,14 +30,18 @@ from .construct import (
     parse_datum,
 )
 from .errors import InadmissibleError, ParseError, VerificationError
-from .groups import GroupError, IntransitiveError, is_primitive
+from .groups import (
+    GroupError,
+    IntransitiveError,
+    _witness_cycle,
+    is_primitive,
+    is_transitive,
+)
 from .perm import (
     Partition,
     PermError,
     Permutation,
     _product_table,
-    _table_then,
-    compose,
     format_cycles,
     parse_cycles,
     sqrt_odd_cycle,
@@ -75,6 +76,8 @@ class HurwitzCertificate(_CertificateFields):
             raise ParseError("one u-image per branch point required")
         if datum.degree != degree:
             raise ParseError("datum degree disagrees with the certificate degree")
+        if datum.base != base:
+            raise ParseError("datum base disagrees with the certificate base")
         images = u_images if a_image is None else (a_image, *u_images)
         if any(p.degree != degree or p.domain[-1] != degree for p in images):
             raise ParseError(f"generator images must act on 1..{degree}")
@@ -120,10 +123,11 @@ def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCerti
     caller owns (`oracle.census` makes one per call; see
     `construct._shared`): the factor pairs, reduced partitions and
     relabellings of identical sub-constructions, and the a-image of an
-    equal product, are then built once and shared.  The verifier is the one
-    check of every certificate: it recomputes a^2 * u_1 * ... * u_s from the
-    certificate alone, so a product that disagrees with the factors fails
-    it, and so does a product with no such square root.
+    equal product, are then built once and shared.  The verifier, which
+    shares nothing with the memo, is the one check of every certificate: it
+    recomputes a^2 * u_1 * ... * u_s from the certificate alone, so a
+    product that disagrees with the factors fails it, and so does a product
+    with no such square root.
     """
     d = datum.degree
     _require_constructible(datum)
@@ -138,7 +142,7 @@ def realize_rp2(datum: BranchDatum, seed: int = 0, *, memo=None) -> HurwitzCerti
     cert = HurwitzCertificate(
         base="rp2", degree=d, datum=datum, a_image=a, u_images=tuple(us)
     )
-    report = verify_certificate(cert, memo=memo)
+    report = verify_certificate(cert)
     if report.verdict != "valid-indecomposable":
         raise VerificationError(f"self-verification failed: {report.verdict}")
     return cert
@@ -175,8 +179,13 @@ def realize_sphere(datum: BranchDatum, seed: int = 0) -> HurwitzCertificate:
 
 
 def _group_verdict(*gens: Permutation) -> tuple[bool, bool]:
-    """(transitive, primitive) of the group the generators span, by the exact
-    test; `is_primitive` searches the orbits once and reports intransitivity."""
+    """(transitive, primitive) of the group the generators span, with one
+    orbit walk.  A generator with an isolated (d-2)-cycle, the paper's
+    witness, leaves only transitivity to decide; otherwise `is_primitive`
+    decides both, and reports intransitivity."""
+    if _witness_cycle(gens, gens[0].degree - 2):
+        transitive = is_transitive(gens)
+        return transitive, transitive
     try:
         return True, is_primitive(gens)[0]
     except IntransitiveError:
@@ -185,60 +194,27 @@ def _group_verdict(*gens: Permutation) -> tuple[bool, bool]:
         return True, False
 
 
-def _subgroup_verdict(memo, head, x, y, *rest) -> tuple[bool, bool]:
-    """`_group_verdict` of ⟨x y, *rest⟩, kept in ``memo`` under ``head``,
-    the 0-based index table of x y, and ``rest``: on 1..d the table names
-    the product, so the product permutation is built only on a miss."""
-    key = (_subgroup_verdict, head, *rest)
-    verdict = memo.get(key)
-    if verdict is None:
-        verdict = memo[key] = _group_verdict(compose(x, y), *rest)
-    return verdict
-
-
-def verify_certificate(cert: HurwitzCertificate, memo=None) -> VerificationReport:
+def verify_certificate(cert: HurwitzCertificate) -> VerificationReport:
     """Re-derive every claim of the certificate independently of its builder.
 
     The relation is checked as its rotation u_1 ... u_s a^2, which is the
     identity exactly when a^2 u_1 ... u_s is, on the generators' 0-based
-    index tables: no product permutation is built, and the table of
-    u_1 u_2 leads.
-
-    ``memo`` is a dict the caller owns (see `construct._shared`).  With a
-    memo and at least four generators, the verdicts on ⟨u_1 u_2, u_3, ..., a⟩
-    and, if needed, ⟨u_2 u_3, u_1, u_4, ..., a⟩ are looked up there or
-    computed and kept.  A verdict is keyed on the index table of the merged
-    product (for u_1 u_2, the relation check's leading table) and the other
-    generators, so the product permutation is built only when a verdict is
-    computed.  When one reads transitive and primitive, so is the
-    certificate's group, which contains that subgroup: a block system of a
-    group is a block system of each of its subgroups (Wielandt, *Finite
-    Permutation Groups*, 1964).  Otherwise, or with no memo, the whole group
-    is tested, once.  The rule only ever settles "primitive", so the report
-    is the same with or without a memo.
+    index tables: no product permutation is built.  Transitivity and
+    primitivity come from `_group_verdict`, once per certificate.
     """
     chi = euler_characteristic(cert.base, cert.degree, cert.datum.nu)
 
-    gens = cert.u_images
+    gens = rotation = cert.u_images
     if cert.a_image is not None:
-        gens = (*gens, cert.a_image)
-    head = _product_table(gens[:2])
-    rest = gens[2:] if cert.a_image is None else (*gens[2:], cert.a_image)
-    relation_ok = _table_then(head, rest) == tuple(range(cert.degree))
+        gens = (cert.a_image, *gens)  # first: a constructed a-image is the witness
+        rotation = (*rotation, cert.a_image, cert.a_image)
+    relation_ok = _product_table(rotation) == tuple(range(cert.degree))
 
     cycle_types_ok = all(
         u.cycle_type() == p for u, p in zip(cert.u_images, cert.datum.partitions)
     )
 
-    # with three generators a merged subgroup is cyclic where the relation holds
-    if memo is not None and len(gens) >= 4 and (
-        _subgroup_verdict(memo, head, *gens) == (True, True)
-        or _subgroup_verdict(memo, _product_table(gens[1:3]), *gens[1:3], gens[0], *gens[3:])
-        == (True, True)
-    ):
-        transitive = primitive = True
-    else:
-        transitive, primitive = _group_verdict(*gens)
+    transitive, primitive = _group_verdict(*gens)
 
     if not relation_ok:
         verdict, reason = "invalid", "relation violated"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from branchcover import cli, construct, oracle, realize
+from branchcover import cli, construct, groups, oracle, realize
 from branchcover.cli import main
 from branchcover.construct import BranchDatum
 from branchcover.perm import Partition, Permutation, compose, from_cycles
@@ -141,6 +141,79 @@ def test_verify_decomposable_certificate(tmp_path, capsys):
     assert "valid-decomposable" in out
 
 
+# u[1]'s 6-cycle is a power of u[1], but gcd(6, 8) = 2: the group keeps the
+# blocks {1,2},{3,4},{5,6},{7,8}
+EVEN_CYCLE_CERT = (
+    "base: s2\n"
+    "degree: 8\n"
+    "datum: [6,1,1];[2,2,1,1,1,1];[8]\n"
+    "u[1]: (1 3 5 2 4 6)\n"
+    "u[2]: (1 7)(2 8)\n"
+    "u[3]: (1 7 6 4 2 8 5 3)\n"
+)
+
+
+def test_verify_an_isolated_cycle_that_proves_nothing(tmp_path, capsys):
+    """A (d-2)-cycle with gcd(d-2, d) > 1 settles nothing: the exact test
+    finds the blocks, and `verify` exits 1."""
+    cert = realize.certificate_from_text(EVEN_CYCLE_CERT)
+    report = realize.verify_certificate(cert)
+    assert report.relation_ok and report.cycle_types_ok and report.transitive
+    assert report.verdict == "valid-decomposable"
+    _, blocks = groups.is_primitive(cert.u_images)
+    assert blocks.blocks == ((1, 2), (3, 4), (5, 6), (7, 8))
+    f = tmp_path / "even.txt"
+    f.write_text(EVEN_CYCLE_CERT)
+    code, out, _ = run(capsys, "verify", "--certificate", str(f))
+    assert code == 1
+    assert out.startswith("verdict=valid-decomposable ")
+
+
+def _cycle_text(images):
+    """The cycle notation and the cycle type of x -> images[x] on 1..d
+    (``images[0]`` unused), each cycle from its smallest label."""
+    seen = bytearray(len(images))
+    cycles = []
+    for start in range(1, len(images)):
+        if not seen[start]:
+            cycle = [start]
+            seen[start] = 1
+            while not seen[images[cycle[-1]]]:
+                cycle.append(images[cycle[-1]])
+                seen[cycle[-1]] = 1
+            cycles.append(cycle)
+    text = "".join("(" + " ".join(map(str, c)) + ")" for c in cycles if len(c) > 1)
+    parts = sorted((len(c) for c in cycles), reverse=True)
+    return text, "[" + ",".join(map(str, parts)) + "]"
+
+
+def test_verify_at_degree_9999_runs_no_block_closure(tmp_path, capsys, monkeypatch):
+    """An rp2 certificate whose a-image is a (d-2)-cycle, built here by list
+    arithmetic, verifies at d = 9999 with no block closure: the cycle
+    settles primitivity."""
+    d = 9999
+    a = [0, *range(2, d - 1), 1, d - 1, d]  # (1 2 ... d-2)
+    u1 = list(range(d + 1))
+    u1[d - 2], u1[d - 1], u1[d] = d - 1, d, d - 2
+    u2 = [0] * (d + 1)
+    for x in range(d + 1):  # u2 closes a a u1 u2 = 1
+        u2[u1[a[a[x]]]] = x
+    (a_text, _), (u1_text, t1), (u2_text, t2) = map(_cycle_text, (a, u1, u2))
+    f = tmp_path / "large.txt"
+    f.write_text(
+        f"base: rp2\ndegree: {d}\ndatum: {t1};{t2}\n"
+        f"a: {a_text}\nu[1]: {u1_text}\nu[2]: {u2_text}\n"
+    )
+
+    def refuse(*args):
+        raise AssertionError("block closure run")
+
+    monkeypatch.setattr(groups, "_block_closure", refuse)
+    code, out, err = run(capsys, "verify", "--certificate", str(f))
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict=valid-indecomposable relation=True types=True ")
+
+
 def _python_process(*args, optimize=False):
     """Run a fresh interpreter with the library on its path, with -O if asked."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -216,9 +289,9 @@ def _count_verifications(monkeypatch):
     calls = []
     original = realize.verify_certificate
 
-    def counting(cert, memo=None):
+    def counting(cert):
         calls.append(cert)
-        return original(cert, memo=memo)
+        return original(cert)
 
     for module in (realize, cli, oracle):
         if getattr(module, "verify_certificate", None) is original:
@@ -238,7 +311,7 @@ def test_each_certificate_verified_once(monkeypatch, capsys):
 
 
 def test_realize_failed_self_verification(monkeypatch, capsys):
-    def decomposable(cert, memo=None):
+    def decomposable(cert):
         return VerificationReport(True, True, True, False, 0, "valid-decomposable")
 
     monkeypatch.setattr(realize, "verify_certificate", decomposable)

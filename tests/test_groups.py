@@ -255,6 +255,50 @@ def test_fast_path_never_contradicts_exact():
                     assert is_primitive(gs)[0]
 
 
+def _witness_gen(rng, d, kind, blocks):
+    """A random permutation of 1..d of one kind: a (d-2)-cycle, any
+    permutation, or one that keeps the system ``blocks``."""
+    if kind == "cycle":
+        pts = rng.sample(range(1, d + 1), d - 2)
+        return Permutation.from_mapping(dict(zip(pts, pts[1:] + pts[:1])), d)
+    if kind == "blocks" and blocks:
+        mapping = {}
+        for src, dst in zip(blocks, rng.sample(blocks, len(blocks))):
+            mapping.update(zip(src, rng.sample(dst, len(dst))))
+        return Permutation.from_mapping(mapping, d)
+    return Permutation(tuple(rng.sample(range(1, d + 1), d)), d)
+
+
+def test_witness_cycle_never_calls_an_imprimitive_group_primitive():
+    """On transitive sets of (d-2)-cycles, random and block-keeping
+    permutations at odd d from 5 to 27, `_witness_cycle` answers True for
+    no length l of a group that `is_primitive` finds imprimitive.  Each
+    guard matters: in a block-keeping set a d-cycle has gcd(d, d) = d, and
+    a transposition or an m-cycle inside a block of size m has l no larger
+    than a proper divisor of d."""
+    rng = random.Random(27)
+    transitive = imprimitive = hits = 0
+    for d in range(5, 28, 2):
+        sizes = [m for m in range(2, d) if d % m == 0]
+        for _ in range(300):
+            blocks = None
+            if sizes:
+                m = rng.choice(sizes)
+                shuffled = rng.sample(range(1, d + 1), d)
+                blocks = [shuffled[i : i + m] for i in range(0, d, m)]
+            kinds = rng.choices(("cycle", "random", "blocks"), (1, 1, 6), k=rng.randint(2, 3))
+            gs = [_witness_gen(rng, d, kind, blocks) for kind in kinds]
+            if not is_transitive(gs):
+                continue
+            transitive += 1
+            prim = is_primitive(gs)[0]
+            imprimitive += not prim
+            hits += groups._witness_cycle(gs, d - 2)
+            for l in range(1, d + 1):
+                assert prim or not groups._witness_cycle(gs, l), (d, l, gs)
+    assert transitive > 2000 and imprimitive > 400 and hits > 1000
+
+
 def _reference_is_primitive(gs):
     """`is_primitive` with transitivity taken from the orbit partition, as it
     was decided before the counting walk: the orbits, the prime exit, then

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from branchcover import construct, eks, oracle, realize
+from branchcover import construct, eks, groups, oracle, perm, realize
 from branchcover.construct import parse_datum
 from branchcover.errors import InadmissibleError
 from branchcover.groups import is_primitive, is_transitive
@@ -245,34 +245,48 @@ def test_census_shares_pairs_within_one_call_only(monkeypatch):
     assert 0 < per_call == len(set(calls)) < first
 
 
-def test_census_settles_most_verdicts_from_a_shared_subgroup(monkeypatch):
-    """The verifier reuses, within one census call, the verdicts of the
-    subgroups with two adjacent generators merged, so it runs the exact test
-    for fewer than half the certificates and never on the four generators
-    of an s = 3 certificate; a second call starts again."""
-    calls = []
-    original = realize.is_primitive
-
-    def counting(gens):
-        calls.append(gens)
-        return original(gens)
-
-    monkeypatch.setattr(realize, "is_primitive", counting)
-    constructed = sum(row.classification == "constructed" for row in census(7, 3))
-    per_call = len(calls)
-    calls.clear()
-    assert sum(row.classification == "constructed" for row in census(7, 3)) == constructed
-    assert len(calls) == per_call
-    assert 0 < per_call < constructed / 2
-    assert all(len(gens) < 4 for gens in calls)
-
-
 def _counted(log, fn):
     def counting(*args):
         log.append(args)
         return fn(*args)
 
     return counting
+
+
+def test_census_verifies_each_certificate_with_one_orbit_walk(monkeypatch):
+    """Every census certificate carries the construction's (d-2)-cycle, so
+    over a `census(9, 3)` call the verifier settles each one with one orbit
+    walk: no block closure and no `is_primitive` run, and the verifier
+    composes no product."""
+    verifying, closures, tests, walks, products = [], [], [], [], []
+    original = realize.verify_certificate
+
+    def verify(*args, **kwargs):
+        verifying.append(args)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            verifying.pop()
+
+    def inside(log, fn):
+        def counting(*args):
+            if verifying:
+                log.append(args)
+            return fn(*args)
+
+        return counting
+
+    monkeypatch.setattr(realize, "verify_certificate", verify)
+    monkeypatch.setattr(groups, "_block_closure", _counted(closures, groups._block_closure))
+    monkeypatch.setattr(realize, "is_primitive", _counted(tests, realize.is_primitive))
+    monkeypatch.setattr(groups, "_reaches_all", inside(walks, groups._reaches_all))
+    for module in (perm, groups, eks, construct, realize):
+        if getattr(module, "compose", None) is perm.compose:
+            monkeypatch.setattr(module, "compose", inside(products, perm.compose))
+    constructed = sum(row.classification == "constructed" for row in census(9, 3))
+    assert constructed == 2322
+    assert closures == [] and tests == [] and products == []
+    assert len(walks) == constructed
 
 
 def test_census_derives_each_relabelling_and_square_root_once_per_call(monkeypatch):
@@ -301,39 +315,6 @@ def test_census_derives_each_relabelling_and_square_root_once_per_call(monkeypat
         return counts
 
     assert sweep() == sweep()  # a second call derives everything again
-
-
-def test_verifier_composes_once_per_distinct_subgroup(monkeypatch):
-    """Over one census call the verifier keys each subgroup verdict on the
-    index table of the merged product, so it composes that product only for
-    a verdict it computes: once per distinct subgroup, fewer times than
-    there are constructed s = 3 data.  A second call composes them again."""
-    products, subgroups = [], []
-
-    def composing(*perms):
-        product = compose(*perms)
-        products.append(product)
-        return product
-
-    def verdict(*gens):
-        if any(gens[0] is p for p in products):
-            subgroups.append(gens)
-        return original(*gens)
-
-    original = realize._group_verdict
-    monkeypatch.setattr(realize, "compose", composing)
-    monkeypatch.setattr(realize, "_group_verdict", verdict)
-
-    def sweep():
-        rows = list(census(7, 3))
-        s3 = sum(r.classification == "constructed" and r.datum.count(";") == 2 for r in rows)
-        count = len(products)
-        assert 0 < count == len(subgroups) == len(set(subgroups)) < s3
-        products.clear()
-        subgroups.clear()
-        return count
-
-    assert sweep() == sweep()
 
 
 def test_census_builds_each_nu_ordered_pair_once(monkeypatch):

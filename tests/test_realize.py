@@ -277,6 +277,33 @@ def test_verdicts_search_orbits_once(monkeypatch):
     assert groups.is_primitive([gamma])[0] is False
     assert len(searches) == 1
 
+    # with no (d-2)-cycle the exact test runs, still with one walk
+    rng = random.Random(27)
+    blocks = [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+    wreath = None
+    while wreath is None or not groups.is_transitive([*wreath.u_images, wreath.a_image]):
+        a, u = (_keeping(rng, 9, blocks, True) for _ in range(2))
+        wreath = _closed(9, a, [u])
+    a = parse_cycles("(1 2 3 4 5)", 9)
+    prime_cycle = _closed(9, a, [parse_cycles("(1 6)(2 7)(3 8)(4 9)", 9)])
+    # intransitive, once with an isolated 7-cycle in u[2] and once with none
+    apart = _closed(9, a, [parse_cycles("(5 6 7)(8 9)", 9)])
+    split = _closed(9, parse_cycles("(1 2 3)", 9), [parse_cycles("(4 5 6)", 9)])
+    cases = [
+        (wreath, "valid-decomposable", False),
+        (prime_cycle, "valid-indecomposable", False),
+        (apart, "invalid", True),
+        (split, "invalid", False),
+    ]
+    for cert, verdict, witness in cases:
+        gens = (*cert.u_images, cert.a_image)
+        assert groups._witness_cycle(gens, 7) is witness
+        searches.clear()
+        report = verify_certificate(cert)
+        assert report.verdict == verdict and report.relation_ok
+        assert report.transitive is (verdict != "invalid")
+        assert len(searches) == 1
+
 
 def _keeping(rng, d, parts, move_parts):
     """A random permutation of 1..d that keeps the system ``parts``: each
@@ -365,15 +392,13 @@ def _verifier_sequence(rng, d):
     return out
 
 
-def test_merged_subgroup_rule_never_changes_a_report(monkeypatch):
-    """Every report is the same whether the verifier shares one memo across
-    the whole sequence or has none.  Without a memo each certificate costs
-    one exact test; with one, the whole group is tested exactly when
-    neither ⟨u1 u2, u3, ..., a⟩ nor ⟨u2 u3, u1, u4, ..., a⟩ is transitive
-    and primitive."""
+def test_every_report_matches_the_exact_scan(monkeypatch):
+    """Every report equals the one computed from the exact scan alone (an
+    orbit walk, then `is_primitive` on a transitive set).  The verifier runs
+    `is_primitive` at most once per certificate, and never on a constructed
+    one: the construction's (d-2)-cycle settles primitivity."""
     rng = random.Random(16)
     sequence = [c for d in (9, 15, 21, 25) for c in _verifier_sequence(rng, d)]
-    rng.shuffle(sequence)
     tests = []
     original = realize.is_primitive
 
@@ -381,43 +406,35 @@ def test_merged_subgroup_rule_never_changes_a_report(monkeypatch):
         tests.append(gens)
         return original(gens)
 
+    def exact(*gens):
+        if not groups.is_transitive(gens):
+            return False, False
+        return True, original(gens)[0]
+
     monkeypatch.setattr(realize, "is_primitive", counting)
-    memo = {}
-    seen = set()
+    scanned = set()
     for kind, cert in sequence:
-        gens = (*cert.u_images, cert.a_image)
+        with monkeypatch.context() as m:
+            m.setattr(realize, "_group_verdict", exact)
+            reference = verify_certificate(cert)
         tests.clear()
-        shared = verify_certificate(cert, memo=memo)
-        full_scan = gens in tests
-        tests.clear()
-        alone = verify_certificate(cert)
-        assert tests == [gens]
-        assert shared == alone, kind
-        u1, u2, u3, *rest = cert.u_images
-        merged = realize._group_verdict(compose(u1, u2), u3, *rest, cert.a_image)
-        second = realize._group_verdict(compose(u2, u3), u1, *rest, cert.a_image)
+        report = verify_certificate(cert)
+        assert report == reference, kind
+        assert len(tests) <= 1, kind
+        if tests:
+            scanned.add(kind)
+        if kind == "constructed":
+            assert tests == []
         if kind in ("constructed", "merged-wreath", "merged-intransitive", "merged-twice"):
-            assert alone.verdict == "valid-indecomposable", kind
+            assert report.verdict == "valid-indecomposable", kind
         elif kind in ("wreath", "intransitive"):
-            assert alone.verdict != "valid-indecomposable", kind
-            assert merged != (True, True) and not alone.primitive
-            assert second != (True, True)
+            assert report.verdict != "valid-indecomposable", kind
+            assert not report.primitive
         else:
-            assert alone.verdict == "invalid", kind
-        if kind.startswith("merged-"):
-            assert merged != (True, True)  # the first merged pair does not settle these
-        if kind == "merged-twice":
-            assert second != (True, True)  # nor does the second: the full scan runs
-        assert full_scan == (merged != (True, True) and second != (True, True)), kind
-        seen.add((kind, merged == (True, True), second == (True, True)))
-    assert {
-        ("merged-wreath", False, True),
-        ("merged-intransitive", False, True),
-        ("merged-twice", False, False),
-    } <= seen
-    assert {("constructed", True), ("relation-broken", True), ("cycle-type-wrong", True)} <= {
-        (kind, first) for kind, first, _ in seen
-    }
+            assert report.verdict == "invalid", kind
+    # the sets with no (d-2)-cycle take the exact test
+    kinds = ("wreath", "intransitive", "merged-wreath", "merged-intransitive", "merged-twice")
+    assert set(kinds) <= scanned
 
 
 def test_verifier_chi_arithmetic():

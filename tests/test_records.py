@@ -146,6 +146,16 @@ VALIDATED = {
                 "a-image present iff the base is the projective plane",
             ),
             (("rp2", 3, _D3, _P, ()), ParseError, "one u-image per branch point required"),
+            (
+                ("rp2", 3, _D3._replace(base="s2"), _P, (_P,)),
+                ParseError,
+                "datum base disagrees with the certificate base",
+            ),
+            (
+                ("s2", 3, _D3, None, (_P,)),
+                ParseError,
+                "datum base disagrees with the certificate base",
+            ),
         ],
     ),
 }
