@@ -245,6 +245,27 @@ def test_census_shares_pairs_within_one_call_only(monkeypatch):
     assert 0 < per_call == len(set(calls)) < first
 
 
+def test_census_settles_most_verdicts_from_a_shared_subgroup(monkeypatch):
+    """The census no longer shares subgroup verdicts between certificates:
+    each certificate's own (d-2)-cycle settles its verdict, so over a
+    `census(7, 3)` call the verifier runs the exact test for none of the
+    certificates, fewer than half of them, and a second call does the same."""
+    calls = []
+    original = realize.is_primitive
+
+    def counting(gens):
+        calls.append(gens)
+        return original(gens)
+
+    monkeypatch.setattr(realize, "is_primitive", counting)
+    constructed = sum(row.classification == "constructed" for row in census(7, 3))
+    per_call = len(calls)
+    calls.clear()
+    assert sum(row.classification == "constructed" for row in census(7, 3)) == constructed
+    assert len(calls) == per_call
+    assert 0 == per_call < constructed / 2
+
+
 def _counted(log, fn):
     def counting(*args):
         log.append(args)
@@ -315,6 +336,40 @@ def test_census_derives_each_relabelling_and_square_root_once_per_call(monkeypat
         return counts
 
     assert sweep() == sweep()  # a second call derives everything again
+
+
+def test_verifier_composes_once_per_distinct_subgroup(monkeypatch):
+    """The verifier keeps no merged-subgroup verdicts, so it composes no
+    merged product at all: over each of two `census(7, 3)` calls it composes
+    none, fewer than once per distinct subgroup, while the census still
+    constructs and verifies its s = 3 data."""
+    verifying, products = [], []
+    original, product = realize.verify_certificate, perm.compose
+
+    def verify(*args, **kwargs):
+        verifying.append(args)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            verifying.pop()
+
+    def composing(*perms):
+        if verifying:
+            products.append(perms)
+        return product(*perms)
+
+    monkeypatch.setattr(realize, "verify_certificate", verify)
+    for module in (perm, groups, eks, construct, realize):
+        if getattr(module, "compose", None) is product:
+            monkeypatch.setattr(module, "compose", composing)
+
+    def sweep():
+        rows = list(census(7, 3))
+        s3 = sum(r.classification == "constructed" and r.datum.count(";") == 2 for r in rows)
+        assert 0 == len(products) < s3
+        return s3
+
+    assert sweep() == sweep()
 
 
 def test_census_builds_each_nu_ordered_pair_once(monkeypatch):
