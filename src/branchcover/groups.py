@@ -3,7 +3,12 @@
 The block machinery is the classical minimal-block closure: the finest
 generator-stable equivalence identifying a seed pair.  Its classes form a
 block system, and scanning the pairs (first point, x) decides primitivity
-with an explicit witness when the group is imprimitive.
+with an explicit witness when the group is imprimitive.  The scan closes
+only the least point of each orbit of S on the other points, where S is
+the set of generators that fix the first point (Sims 1970): a G-stable
+equivalence is stable under every element fixing the first point, so x
+and its images under S have the same closure, and the least x with a
+proper closure, the witness, is always such an orbit minimum.
 
 Every question is answered from one representation: the 0-based forward
 image table of each generator (`Permutation._table`), the form in which a
@@ -134,7 +139,17 @@ def is_primitive(
     """Exact primitivity test; returns a witness block system when imprimitive.
 
     A transitive group of prime degree is primitive without a closure: the
-    size of a block divides the degree.
+    size of a block divides the degree.  Otherwise Atkinson's closure of
+    (first point, x) runs for x = 1..d-1 in increasing order, skipping every
+    x already marked: before its closure each x marks its orbit under S,
+    the generators whose table sends index 0 to 0 (only those; no other
+    element of the stabiliser is built).  Every h in <S> fixes the first
+    point, and the closure of (0, x) is G-stable, so it holds (0, h(x))
+    and equals the closure of (0, h(x)).  The first x with a proper
+    closure is therefore an orbit minimum, reached in the same order as
+    by the unpruned scan, so the verdict and the witness block system are
+    the unpruned scan's, and the base point stays the first point.  With
+    S empty nothing is skipped.
     """
     dom = _check_gens(gens)
     d = len(dom)
@@ -145,7 +160,19 @@ def is_primitive(
         raise IntransitiveError("primitivity is defined for transitive groups only")
     if _largest_proper_divisor(d) == 1:
         return True, None
+    stabilising = [t for t in tables if t[0] == 0]
+    marked = bytearray(d)
     for x in range(1, d):
+        if marked[x]:
+            continue
+        marked[x] = 1
+        orbit = [x]
+        for y in orbit:  # the list grows while it is walked
+            for t in stabilising:
+                z = t[y]
+                if not marked[z]:
+                    marked[z] = 1
+                    orbit.append(z)
         classes = _block_closure(tables, dom, 0, x)
         if classes is None:
             continue

@@ -2,8 +2,10 @@
 
 import ast
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -212,6 +214,82 @@ def test_verify_at_degree_9999_runs_no_block_closure(tmp_path, capsys, monkeypat
     code, out, err = run(capsys, "verify", "--certificate", str(f))
     assert (code, err) == (0, "")
     assert out.startswith("verdict=valid-indecomposable relation=True types=True ")
+
+
+def _prime_cycle_images(rng, d, p, fixes):
+    """Images on 1..d, by list arithmetic, of an rp2 certificate like
+    verify-large's prime-cycle kind: u1 is a p-cycle, a is random and u2
+    closes a a u1 u2 = 1; a and u1 are redrawn until they are transitive.
+    With ``fixes`` the p-cycle misses point 1; otherwise no generator fixes
+    point 1."""
+    while True:
+        if fixes:
+            support = rng.sample(range(2, d + 1), p)
+        else:
+            support = [1, *rng.sample(range(2, d + 1), p - 1)]
+        u1 = list(range(d + 1))
+        for x, y in zip(support, support[1:] + support[:1]):
+            u1[x] = y
+        a = [0, *rng.sample(range(1, d + 1), d)]
+        u2 = [0] * (d + 1)
+        for x in range(d + 1):
+            u2[u1[a[a[x]]]] = x
+        orbit, seen = [1], {1}
+        for x in orbit:  # the list grows while it is walked
+            for y in (a[x], u1[x]):
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        if len(orbit) == d and (fixes or (a[1] != 1 and u2[1] != 1)):
+            return a, u1, u2
+
+
+@pytest.mark.parametrize(
+    "d, p, fixes",
+    [
+        (45, 41, True),
+        (45, 41, False),
+        (91, 83, True),
+        (91, 83, False),
+        pytest.param(1001, 997, True, marks=pytest.mark.slow),
+        pytest.param(1001, 997, False, marks=pytest.mark.slow),
+    ],
+)
+def test_verify_closes_only_the_orbit_minima(tmp_path, capsys, monkeypatch, d, p, fixes):
+    """A primitive certificate without a (d-2)-cycle, built here by list
+    arithmetic, goes to the closure scan.  When u1, a p-cycle, fixes point
+    1, only the least point of each of its orbits on the other points is
+    closed: at most d - p + 1 closures.  When no generator fixes point 1,
+    every one of the d - 1 points is.  At d = 1001 parse plus verify stays
+    under 1 s with at most 5 closures and under 10 s with 1000."""
+    a, u1, u2 = _prime_cycle_images(random.Random(2 * d + fixes), d, p, fixes)
+    (a_text, _), (u1_text, t1), (u2_text, t2) = map(_cycle_text, (a, u1, u2))
+    f = tmp_path / "prime-cycle.txt"
+    f.write_text(
+        f"base: rp2\ndegree: {d}\ndatum: {t1};{t2}\n"
+        f"a: {a_text}\nu[1]: {u1_text}\nu[2]: {u2_text}\n"
+    )
+    cert = realize.certificate_from_text(f.read_text())
+    assert not groups._witness_cycle((cert.a_image, *cert.u_images), d - 2)
+    closures = []
+    closure = groups._block_closure
+
+    def counting(*args):
+        closures.append(args[3])
+        return closure(*args)
+
+    monkeypatch.setattr(groups, "_block_closure", counting)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--certificate", str(f))
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict=valid-indecomposable relation=True types=True ")
+    if fixes:
+        assert len(closures) <= d - p + 1
+    else:
+        assert closures == list(range(1, d))
+    if d > 1000:
+        assert elapsed < (1.0 if fixes else 10.0)
 
 
 def _python_process(*args, optimize=False):
