@@ -29,8 +29,9 @@ one factor onto the running product's cycle (merge kind 'split').
 `merge_with_trace` hands back that kind, a `MergeTrace`, and records
 nothing else of a merge.  The two-full-cycle
 factorization (`_factor_two_cycles_rng`) tries seeded random full cycles
-first, which keep certificates as they were, and ends with an explicit
-O(n) construction (`_factor_explicit`), so it always returns.  Two fallbacks
+first (`full_cycle_cofactor`, one index-table walk per trial), which keep
+certificates as they were, and ends with an explicit O(n) construction
+(`_factor_explicit`), so it always returns.  Two fallbacks
 remain: that of the merge (`_search_merge`, which no gated two-partition
 datum of degree up to 21 reaches) and that of exact threading
 (`_search_defect`, which threading never leaves to fire).  Outputs are
@@ -50,6 +51,7 @@ from .perm import (
     canonical_in_class,
     compose,
     from_cycles,
+    full_cycle_cofactor,
     random_in_class,
     sqrt_odd_cycle,
 )
@@ -497,16 +499,14 @@ def factor_two_full_cycles(
 
 
 def _factor_two_cycles_rng(tau, rng):
-    dom = tau.domain
-    n = len(dom)
-    full = Partition([n])
-    labels = n if dom[-1] == n else dom  # an int domain is not re-validated per trial
-    for _ in range(64 * n):
-        gamma = random_in_class(full, labels, rng)
-        sigma = compose(tau, gamma.inverse())
-        if len(sigma.cycles()) == 1:
-            return sigma, gamma
-    return _factor_explicit(tau)
+    """64n seeded trials (`full_cycle_cofactor`), then the explicit route."""
+    gamma = full_cycle_cofactor(tau, rng, 64 * len(tau.domain))
+    if gamma is None:
+        return _factor_explicit(tau)
+    sigma = compose(tau, gamma.inverse())
+    if len(sigma.cycles()) != 1:
+        raise EksError("seeded factorization trial is not two full cycles over tau")
+    return sigma, gamma
 
 
 def _factor_explicit(tau):

@@ -331,10 +331,21 @@ def parse_cycles(text: str, domain: Iterable[int] | int) -> Permutation:
         if not body:
             continue
         try:
-            cycles.append([int(tok) for tok in body.split()])
+            cycles.append(_numerals(body.split()))
         except ValueError as exc:
             raise PermError(f"malformed cycle notation: {text!r}") from exc
     return from_cycles(cycles, domain)
+
+
+def _numerals(tokens: Sequence[str]) -> list[int]:
+    """The values of decimal numerals written in ASCII digits alone, the one
+    check behind every number of the text formats: a sign, an underscore,
+    whitespace or a non-ASCII digit, all of which ``int`` would take, is a
+    ValueError, so one value has one spelling (up to leading zeros)."""
+    joined = "".join(tokens)
+    if not (joined.isascii() and joined.isdigit()):
+        raise ValueError(f"not numbers in ASCII digits: {' '.join(tokens)!r}")
+    return list(map(int, tokens))  # an empty token raises too
 
 
 def format_cycles(p: Permutation) -> str:
@@ -355,6 +366,8 @@ class Partition:
 
     def __init__(self, parts: Iterable[int]):
         ps = tuple(sorted(parts, reverse=True))
+        if type(parts) is tuple and ps == parts:
+            ps = parts  # a kept datum holds one copy of its parts, not two
         if not ps:
             raise PermError("partition needs at least one part")
         if ps[-1] < 1:
@@ -404,7 +417,7 @@ class Partition:
         if not body:
             raise PermError(f"malformed partition literal: {text!r}")
         try:
-            parts = [int(tok) for tok in body.split(",")]
+            parts = _numerals([tok.strip() for tok in body.split(",")])
         except ValueError as exc:
             raise PermError(f"malformed partition literal: {text!r}") from exc
         return Partition(parts)
@@ -497,6 +510,38 @@ def random_in_class(cls: Partition, domain: Iterable[int] | int, rng) -> Permuta
     for i, j in zip(order, succ):
         table[i] = j
     return Permutation._of(tuple(table), dom)
+
+
+def full_cycle_cofactor(tau: Permutation, rng, trials: int) -> Permutation | None:
+    """The first of ``trials`` seeded full cycles gamma of tau's domain with
+    tau * gamma^-1 a full cycle too, or None when every trial fails.
+
+    Each trial draws gamma as ``random_in_class(Partition([n]), ...)`` does,
+    from the same shuffle of the same rng stream: the shuffled positions,
+    read cyclically, are gamma's one cycle.  A trial writes gamma^-1's index
+    table from them and walks tau * gamma^-1 once from position 0; only the
+    winner is built as a permutation."""
+    table = tau._table
+    n = len(table)
+    for _ in range(trials):
+        order = list(range(n))
+        rng.shuffle(order)
+        inv = [0] * n  # gamma^-1: each position back to the one before it
+        prev = order[-1]
+        for i in order:
+            inv[i] = prev
+            prev = i
+        i = 0
+        for length in range(1, n + 1):  # at most n steps, so it ends on any table
+            i = inv[table[i]]
+            if not i:
+                break
+        if not i and length == n:
+            gamma = [0] * n
+            for i, j in zip(order, order[1:] + order[:1]):
+                gamma[i] = j
+            return Permutation._of(tuple(gamma), tau.domain)
+    return None
 
 
 def all_in_class(cls: Partition, domain: Iterable[int] | int) -> Iterator[Permutation]:

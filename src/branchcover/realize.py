@@ -41,6 +41,7 @@ from .perm import (
     Partition,
     PermError,
     Permutation,
+    _numerals,
     _product_table,
     format_cycles,
     parse_cycles,
@@ -268,9 +269,10 @@ def certificate_from_text(text: str) -> HurwitzCertificate:
         key = key.strip()
         if key.startswith("u[") and key.endswith("]"):
             try:
-                u_lines.append((int(key[2:-1]), value.strip()))
+                (index,) = _numerals([key[2:-1]])
             except ValueError as exc:
                 raise ParseError(f"malformed u index in {raw!r}") from exc
+            u_lines.append((index, value.strip()))
         elif key not in ("base", "degree", "datum", "a"):
             raise ParseError(f"unknown field {key!r} in {raw!r}")
         elif key in fields:
@@ -279,7 +281,7 @@ def certificate_from_text(text: str) -> HurwitzCertificate:
             fields[key] = value.strip()
     try:
         base = fields["base"]
-        degree = int(fields["degree"])
+        (degree,) = _numerals([fields["degree"]])
         datum = parse_datum(fields["datum"], base)
     except KeyError as exc:
         raise ParseError(f"certificate missing field {exc}") from exc

@@ -643,6 +643,33 @@ def test_verify_repeated_field_is_a_parse_error(tmp_path, capsys, line, field):
 
 
 @pytest.mark.parametrize(
+    "old, new",
+    [
+        ("u[1]:", "u[+1]:"),
+        ("u[2]:", "u[0_2]:"),
+        ("u[1]: (1 2)", "u[1]: (1 \uff12)"),
+        ("degree: 4", "degree: +4"),
+        ("[2,1,1];", "[2,+1,1];"),
+    ],
+    ids=["sign", "underscore", "fullwidth", "degree", "datum"],
+)
+def test_verify_numbers_are_ascii_digits(tmp_path, capsys, old, new):
+    """Every number of a certificate is written in ASCII digits: a sign, an
+    underscore or a non-ASCII digit, which `int` would take, is a parse
+    error."""
+    text = "base: s2\ndegree: 4\ndatum: [2,1,1];[2,1,1]\nu[1]: (1 2)\nu[2]: (1 2)\n"
+    path = tmp_path / "cert"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--certificate", str(path))
+    assert code == 1 and out.startswith("verdict=invalid ")  # intransitive
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--certificate", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "line, field",
     [("A: (1 2)\n", "A"), ("signature: trust me\n", "signature")],
     ids=["A", "signature"],

@@ -1,6 +1,7 @@
 """The merge, defect-control, and two-full-cycle factorization toolbox."""
 
 import hashlib
+import math
 import random
 import time
 from itertools import combinations, permutations
@@ -8,7 +9,7 @@ from itertools import combinations, permutations
 import pytest
 
 from branchcover import eks
-from branchcover.construct import two_datum_construct
+from branchcover.construct import BranchDatum, fundamental_construct, two_datum_construct
 from branchcover.eks import (
     EksError,
     _thread,
@@ -424,13 +425,125 @@ def test_factor_explicit_at_scale(n):
     assert _is_two_full_cycles_of(tau, pair)
 
 
+class _Unshuffled(random.Random):
+    """A generator whose shuffle leaves the list as it is."""
+
+    def shuffle(self, x):
+        pass
+
+
+def _record_explicit(monkeypatch):
+    """The list of every tau that `_factor_explicit` is called on from now."""
+    explicit, calls = eks._factor_explicit, []
+
+    def recording(tau):
+        calls.append(tau)
+        return explicit(tau)
+
+    monkeypatch.setattr(eks, "_factor_explicit", recording)
+    return calls
+
+
 @pytest.mark.parametrize("n", [9, 15])
 def test_factor_returns_when_every_seeded_trial_fails(monkeypatch, n):
-    """With gamma == tau on every trial, tau * gamma^-1 is the identity, so
-    only the explicit construction can answer."""
+    """Unshuffled positions make every trial's gamma the canonical n-cycle,
+    which is tau here, so tau * gamma^-1 is the identity and only the
+    explicit construction can answer."""
     tau = canonical_in_class(Partition([n]), n)
-    monkeypatch.setattr(eks, "random_in_class", lambda cls, dom, rng: tau)
-    assert _is_two_full_cycles_of(tau, factor_two_full_cycles(tau))
+    calls = _record_explicit(monkeypatch)
+    assert _is_two_full_cycles_of(tau, eks._factor_two_cycles_rng(tau, _Unshuffled(0)))
+    assert calls == [tau]
+
+
+def test_seeded_factorization_checks_its_winner(monkeypatch):
+    """The winning trial is checked by an explicit raise, not an assert:
+    a cofactor whose sigma is not a full cycle is an `EksError`."""
+    tau = canonical_in_class(Partition([9]), 9)
+    monkeypatch.setattr(eks, "full_cycle_cofactor", lambda t, rng, trials: tau)
+    with pytest.raises(EksError, match="seeded factorization"):
+        factor_two_full_cycles(tau)
+
+
+def _reference_factor_rng(tau, rng):
+    """The seeded trial loop that `perm.full_cycle_cofactor` replaced: each
+    trial builds gamma, its inverse and sigma as permutations and lists
+    sigma's cycles."""
+    n = len(tau.domain)
+    for _ in range(64 * n):
+        gamma = random_in_class(Partition([n]), tau.domain, rng)
+        sigma = compose(tau, gamma.inverse())
+        if len(sigma.cycles()) == 1:
+            return sigma, gamma
+    return eks._factor_explicit(tau)
+
+
+def test_seeded_factorization_matches_the_reference_loop(monkeypatch):
+    """Seeded even tau at n = 2..61, on 1..n and on gapped domains, and
+    every sixteenth tau once more under a shuffle that leaves the positions in
+    order, which mostly falls through to the explicit route: the same
+    (sigma, gamma) as the reference loop, and the generator left in the same
+    state."""
+    rng = random.Random(29)
+    taus = []
+    for n in range(2, 62):
+        for dom in (n, tuple(sorted(rng.sample(range(1, 3 * n), n)))):
+            for _ in range(3):
+                cls = _random_partition(rng, n)
+                while cls.nu % 2 or (cls.is_trivial() and n > 2):  # [1,1] alone at n = 2
+                    cls = _random_partition(rng, n)
+                taus.append(random_in_class(cls, dom, rng))
+    fell_through = _record_explicit(monkeypatch)
+    for k, tau in enumerate(taus):
+        for make in (random.Random, _Unshuffled) if k % 16 == 0 else (random.Random,):
+            new_rng, ref_rng = make(k), make(k)
+            got = eks._factor_two_cycles_rng(tau, new_rng)
+            assert _is_two_full_cycles_of(tau, got)
+            assert got == _reference_factor_rng(tau, ref_rng), tau
+            assert new_rng.getstate() == ref_rng.getstate()
+    assert len(fell_through) >= 2 * 15  # once per side
+
+
+def _log_uniform_partition(rng, d):
+    """A partition of d into 2..d-1 parts, their number log-uniform."""
+    k = min(max(round(math.exp(rng.uniform(math.log(2), math.log(d - 1)))), 2), d - 1)
+    cuts = sorted(rng.sample(range(1, d), k - 1))
+    return Partition([b - a for a, b in zip([0, *cuts], [*cuts, d])])
+
+
+def test_seeded_factorization_builds_no_permutation_per_trial(monkeypatch):
+    """Seeded d = 301 data with log-uniform part counts: each call of
+    `_factor_two_cycles_rng` builds three permutations (gamma, its inverse
+    and sigma), however many trials it runs."""
+    of = Permutation._of.__func__
+    built = []
+
+    def counted_of(cls, table, domain):
+        built.append(1)
+        return of(cls, table, domain)
+
+    factor = eks._factor_two_cycles_rng
+    calls = []  # (permutations built, trials run) per call
+
+    def counted_factor(tau, rng):
+        shuffle, trials = rng.shuffle, []
+        rng.shuffle = lambda x: trials.append(shuffle(x))
+        before = len(built)
+        pair = factor(tau, rng)
+        calls.append((len(built) - before, len(trials)))
+        return pair
+
+    monkeypatch.setattr(Permutation, "_of", classmethod(counted_of))
+    monkeypatch.setattr(eks, "_factor_two_cycles_rng", counted_factor)
+    rng = random.Random(301)
+    d = 301
+    for _ in range(8):
+        parts = (_log_uniform_partition(rng, d), _log_uniform_partition(rng, d))
+        while (parts[0].nu + parts[1].nu) % 2 or parts[0].nu + parts[1].nu < d:
+            parts = (_log_uniform_partition(rng, d), _log_uniform_partition(rng, d))
+        fundamental_construct(BranchDatum("rp2", d, parts), 0)
+    assert len(calls) >= 8
+    assert all(n == 3 for n, _ in calls), calls
+    assert max(t for _, t in calls) >= 20, calls
 
 
 def test_factor_explicit_output_check_survives_without_asserts(monkeypatch):

@@ -1,5 +1,6 @@
 """Permutation arithmetic, partitions, and the projection calculus."""
 
+import pickle
 import random
 from itertools import combinations, permutations
 
@@ -298,6 +299,53 @@ def test_partition_normalization_and_literal():
         Partition.parse("3,2")
     with pytest.raises(PermError):
         Partition([0, 2])
+
+
+def test_partition_keeps_a_non_increasing_tuple():
+    """A plain non-increasing tuple is kept as it is; any other iterable
+    gets a sorted plain-tuple copy.  Either way the partition compares,
+    hashes, pickles and prints by its parts, and the checks still run."""
+
+    class Parts(tuple):
+        pass
+
+    kept = (5, 3, 3, 1)
+    assert Partition(kept).parts is kept
+    for given in ([3, 5, 1, 3], (3, 5, 1, 3), Parts((5, 3, 3, 1)), iter((1, 3, 3, 5))):
+        p = Partition(given)
+        assert p.parts is not given and type(p.parts) is tuple
+        assert p.parts == kept
+    for p in (Partition(kept), Partition([1, 3, 5, 3]), Partition(Parts(kept))):
+        assert p == Partition((1, 3, 3, 5)) and hash(p) == hash(kept)
+        assert repr(p) == "Partition([5, 3, 3, 1])" and str(p) == "[5,3,3,1]"
+        assert p.degree == 12 and p.nu == 8
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and type(q.parts) is tuple
+    for bad in ((), [], (2, 0), (3, -1), [0, 2]):
+        with pytest.raises(PermError):
+            Partition(bad)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(1 +2)", "(1 -2)", "(1 0_2)", "(1 \uff12)", "(\u0661 2)", "(1 \u00b2)"],
+)
+def test_cycle_labels_are_ascii_digits(text):
+    """`int` takes a sign, an underscore and any Unicode decimal digit; a
+    label takes ASCII digits alone."""
+    with pytest.raises(PermError, match="malformed cycle notation"):
+        parse_cycles(text, 4)
+
+
+@pytest.mark.parametrize("text", ["[+3,1]", "[3,0_1]", "[\uff13,1]", "[3,,1]", "[3,1 1]"])
+def test_partition_parts_are_ascii_digits(text):
+    with pytest.raises(PermError, match="malformed partition literal"):
+        Partition.parse(text)
+
+
+def test_ascii_numerals_still_parse():
+    assert parse_cycles("( 1  02 )(3 4)", 4) == parse_cycles("(1 2)(3 4)", 4)
+    assert Partition.parse("[ 3 , 01 ,1 ]") == Partition([3, 1, 1])
 
 
 def test_bijection_enforced():

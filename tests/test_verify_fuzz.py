@@ -41,7 +41,7 @@ def _parse_cycles(text, d):
     seen = set()
     for body in re.findall(r"\(([^()]*)\)", text):
         tokens = body.split()
-        if not all(re.fullmatch(r"\d+", tok) for tok in tokens):
+        if not all(re.fullmatch(r"[0-9]+", tok) for tok in tokens):
             return None
         labels = [int(tok) for tok in tokens]
         for x in labels:
@@ -57,7 +57,7 @@ def _parse_datum(text):
     parts = [p.strip() for p in text.split(";") if p.strip()]
     out = []
     for p in parts:
-        m = re.fullmatch(r"\[\s*(\d+(?:\s*,\s*\d+)*)\s*\]", p)
+        m = re.fullmatch(r"\[\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\]", p)
         if not m:
             return None
         nums = sorted((int(t) for t in m.group(1).split(",")), reverse=True)
@@ -75,7 +75,7 @@ def oracle_parse(data: bytes):
     that is not partitions of one degree without the trivial one, a degree
     line that disagrees with it, u-lines not numbered 1..s for s the number
     of partitions, an a-line present unless the base is rp2, or cycle text
-    that is not a permutation of 1..d."""
+    that is not a permutation of 1..d.  Every number is ASCII digits alone."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
@@ -87,7 +87,7 @@ def oracle_parse(data: bytes):
             continue
         key, sep, value = line.partition(":")
         key = key.strip()
-        m = re.fullmatch(r"u\[(\d+)\]", key)
+        m = re.fullmatch(r"u\[([0-9]+)\]", key)
         if not sep or not (m or key in KEYS):
             return None
         slot, name = (us, int(m.group(1))) if m else (fields, key)
@@ -97,7 +97,7 @@ def oracle_parse(data: bytes):
     if not {"base", "degree", "datum"} <= fields.keys():
         return None
     base, datum = fields["base"], _parse_datum(fields["datum"])
-    if base not in CHI or datum is None or not re.fullmatch(r"\d+", fields["degree"]):
+    if base not in CHI or datum is None or not re.fullmatch(r"[0-9]+", fields["degree"]):
         return None
     d = int(fields["degree"])
     if d != sum(datum[0]) or sorted(us) != list(range(1, len(datum) + 1)):
@@ -334,7 +334,8 @@ def mutate(rng, text: str) -> bytes:
         (
             "swap", "swap", "relabel", "repeat", "huge", "drop", "duplicate",
             "reorder", "degree", "empty", "crlf", "bytes", "datum", "datum-s",
-            "base", "exchange", "retype", "retype",
+            "base", "exchange", "retype", "retype", "sign", "underscore",
+            "fullwidth",
         )
     )
     i = rng.choice(gens)
@@ -396,6 +397,18 @@ def mutate(rng, text: str) -> bytes:
     elif kind == "retype":  # another member of the generator's class
         images = rng.sample(range(1, d + 1), d)
         lines[i] = _relabel(lines[i], dict(zip(range(1, d + 1), images)))
+    elif kind in ("sign", "underscore", "fullwidth"):  # a number int() reads alike
+        # a number of the degree, the datum or a generator line
+        j = rng.choice([j for j in (1, 2, *gens) if re.search(r"[0-9]", lines[j])])
+        m = rng.choice(list(re.finditer(r"[0-9]+", lines[j])))
+        a, b = m.span()
+        if kind == "sign":
+            lines[j] = lines[j][:a] + "+" + lines[j][a:]
+        elif kind == "underscore":
+            lines[j] = lines[j][:a] + "0_" + lines[j][a:]
+        else:
+            k = rng.randrange(a, b)
+            lines[j] = lines[j][:k] + chr(ord(lines[j][k]) + 0xFEE0) + lines[j][k + 1 :]
     return ("\n".join(lines) + "\n").encode()
 
 
