@@ -13,8 +13,8 @@ golden table, or one of three deletion cases.  Each deletion case only
 chooses a partial partner beta0 on two to six deleted points, the reduced
 target and (case 1) an anchor; `_reinsert` merges lam*beta0 on the kept
 points into a full cycle and re-inserts the deleted points.  The pair comes
-with its route only, a `ConstructionTrace` of the case and the kind of the
-re-insertion merge.
+with its route, a `ConstructionTrace` of the case and the kind of the
+re-insertion merge, and with the product that its exit check composed.
 `fundamental_construct` extends this to any number of partitions: one loop
 merges two at a time with controlled product defect until two remain,
 builds their pair and unwinds the merges by explicit Hurwitz moves.  The
@@ -256,10 +256,10 @@ def load_appendix_table() -> tuple[AppendixRow, ...]:
         raise EksError(f"appendix table corrupt: {len(rows)} rows")
     for row in rows:
         try:
-            _check_construction([row.lam, row.beta], (row.D1, row.D2), row.degree)
+            product = _check_construction([row.lam, row.beta], (row.D1, row.D2), row.degree)
         except EksError as exc:
             raise EksError(f"table row {row.index}: {exc}") from exc
-        if compose(row.lam, row.beta) != row.product:
+        if product != row.product:
             raise EksError(
                 f"table row {row.index}: stated product mismatch "
                 "(composition convention regression?)"
@@ -392,9 +392,10 @@ def _pair_search_fallback(A: Partition, B: Partition, d: int, seed: int):
 
 def two_datum_construct(
     D1: Partition, D2: Partition, seed: int = 0
-) -> tuple[Permutation, Permutation, ConstructionTrace]:
+) -> tuple[Permutation, Permutation, ConstructionTrace, Permutation]:
     """lam in D1 and beta in D2 with lam*beta a (d-2)-cycle and <lam, beta>
-    transitive and primitive.
+    transitive and primitive, the pair's route, and the product lam*beta
+    that the exit check composed.
 
     Requires odd d >= 3 and d-1 < nu(D1) + nu(D2) even.
     """
@@ -420,31 +421,36 @@ def two_datum_construct(
         lam, beta, trace = got
         lam_out, beta_out = (beta, lam) if swapped else (lam, beta)
 
-    _check_construction([lam_out, beta_out], (D1, D2), d)
-    return lam_out, beta_out, trace
+    product = _check_construction([lam_out, beta_out], (D1, D2), d)
+    return lam_out, beta_out, trace, product
 
 
 def _check_construction(sigmas, parts, d):
     """Output check of a public construction: sigma_i in parts[i], the
     ordered product of type [d-2,1,1], the span transitive and primitive.
+    Returns the product, composed once here.
 
     One orbit search settles transitivity: `primitivity_fast_path` raises
     on an intransitive span and applies for every odd d > 3; only d = 3
-    falls back to the exact test.
+    falls back to the exact test.  The product lies in the span, so it
+    leads the generators the fast path gets, which then finds its
+    (d-2)-cycle without composing it again.
     """
     for sigma, cls in zip(sigmas, parts):
         if sigma.cycle_type() != cls:
             raise EksError(f"construction output: a factor is not in the class {cls}")
-    if compose(*sigmas).cycle_type() != Partition([d - 2, 1, 1]):
+    product = compose(*sigmas)
+    if product.cycle_type() != Partition([d - 2, 1, 1]):
         raise EksError("construction output: the product is not of type [d-2,1,1]")
     try:
-        prim = primitivity_fast_path(sigmas, d - 2)
+        prim = primitivity_fast_path((product, *sigmas), d - 2)
         if prim is None:
             prim = is_primitive(sigmas)[0]
     except GroupError as exc:
         raise EksError(f"construction output: {exc}") from exc
     if not prim:
         raise EksError("construction output: the group is imprimitive")
+    return product
 
 
 # -- reduction and induction -----------------------------------------------------------
@@ -469,9 +475,9 @@ def _shared(memo, build, *args):
 
 
 def _pair(A, B, seed):
-    """The factor pair of `two_datum_construct` and its product."""
-    lam, beta, _ = two_datum_construct(A, B, seed)
-    return lam, beta, compose(lam, beta)
+    """The factor pair of `two_datum_construct` and its checked product."""
+    lam, beta, _, product = two_datum_construct(A, B, seed)
+    return lam, beta, product
 
 
 def _reduction(memo, factor, A, B, seed):
@@ -581,7 +587,8 @@ def _build(
 
     Returns the factors and their ordered product.  Each unwind step keeps
     the product (`_unwind_step`), so it is the last pair's product, composed
-    once by `_pair`; callers take the a-image from it and do not recompose.
+    once by the pair's exit check; callers take the a-image from it and do
+    not recompose.
     Above degree 3 a pair whose first partition has the smaller defect is
     its mirror (D2, D1) swapped, so the memo builds one pair for both
     orders; only the product is composed again, in this order, each time.

@@ -122,7 +122,7 @@ def test_criterion_2_two_partition_theorem_desk_scale(capsys):
     for d in (3, 5, 7, 9, 11, 13):
         want = P([d - 2, 1, 1])
         for A, B in _gated_pairs(d):
-            lam, beta, trace = two_datum_construct(A, B)
+            lam, beta, trace, _ = two_datum_construct(A, B)
             assert lam.cycle_type() == A and beta.cycle_type() == B
             assert compose(lam, beta).cycle_type() == want
             assert is_transitive([lam, beta])

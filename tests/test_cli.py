@@ -292,6 +292,47 @@ def test_verify_closes_only_the_orbit_minima(tmp_path, capsys, monkeypatch, d, p
         assert elapsed < (1.0 if fixes else 10.0)
 
 
+@pytest.mark.parametrize(
+    "text, code, line",
+    [
+        (  # the relation forces u_1 = 1, which is kept as the one generator
+            "base: s2\ndegree: 3\ndatum: [3]\nu[1]: ()\n",
+            1,
+            "verdict=invalid relation=True types=False transitive=False primitive=False"
+            " chi=4 reason='cycle type mismatch'",
+        ),
+        (  # {[d]} at prime d: <a> is cyclic of prime order
+            "base: rp2\ndegree: 7\ndatum: [7]\na: (1 4 7 3 6 2 5)\nu[1]: (1 2 3 4 5 6 7)\n",
+            0,
+            "verdict=valid-indecomposable relation=True types=True transitive=True"
+            " primitive=True chi=1",
+        ),
+        (  # {[d]} at composite d: <a> is cyclic of order 9, with blocks of 3
+            DECOMPOSABLE_CERT,
+            1,
+            "verdict=valid-decomposable relation=True types=True transitive=True"
+            " primitive=False chi=1 reason='monodromy imprimitive'",
+        ),
+    ],
+)
+def test_verify_one_generator_left(tmp_path, capsys, monkeypatch, text, code, line):
+    """Certificates whose relation leaves one generator once u_s is dropped:
+    the verifier keeps at least one, and prints the line it printed when it
+    used every image."""
+    spans = []
+    original = realize.is_primitive
+
+    def counting(gens):
+        spans.append(len(gens))
+        return original(gens)
+
+    monkeypatch.setattr(realize, "is_primitive", counting)
+    f = tmp_path / "cert.txt"
+    f.write_text(text)
+    assert run(capsys, "verify", "--certificate", str(f)) == (code, line + "\n", "")
+    assert spans == [1]
+
+
 def _python_process(*args, optimize=False):
     """Run a fresh interpreter with the library on its path, with -O if asked."""
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -69,7 +69,7 @@ def test_appendix_table_loads_and_verifies():
 
 
 def test_two_datum_appendix_line_one():
-    lam, beta, trace = two_datum_construct(P([3, 2]), P([3, 2]))
+    lam, beta, trace, _ = two_datum_construct(P([3, 2]), P([3, 2]))
     assert trace.case == "case2-table"
     row = load_appendix_table()[0]
     assert row.index == 1 and (lam, beta) == (row.lam, row.beta)
@@ -79,7 +79,7 @@ def test_two_datum_appendix_line_one():
 
 
 def test_two_datum_degree_three():
-    lam, beta, trace = two_datum_construct(P([3]), P([3]))
+    lam, beta, trace, _ = two_datum_construct(P([3]), P([3]))
     assert trace.case == "d3"
     assert beta == lam.inverse()
     assert compose(lam, beta).is_identity()
@@ -87,11 +87,11 @@ def test_two_datum_degree_three():
 
 
 def test_two_datum_appendix_line_seven():
-    lam, beta, trace = two_datum_construct(P([3, 3, 3]), P([3, 3, 3]))
+    lam, beta, trace, product = two_datum_construct(P([3, 3, 3]), P([3, 3, 3]))
     assert trace.case == "case2-table"
     row = load_appendix_table()[6]
     assert row.index == 7 and (lam, beta) == (row.lam, row.beta)
-    assert compose(lam, beta) == parse_cycles("(1 4 7 9 6 3 8)", 9)
+    assert product == compose(lam, beta) == parse_cycles("(1 4 7 9 6 3 8)", 9)
     _check_pair(P([3, 3, 3]), P([3, 3, 3]), lam, beta)
 
 
@@ -107,7 +107,7 @@ def test_two_datum_gate_errors():
 
 
 def test_two_datum_case1_trace_invariant():
-    lam, beta, trace = two_datum_construct(P([5, 2]), P([4, 3]))
+    lam, beta, trace, _ = two_datum_construct(P([5, 2]), P([4, 3]))
     assert trace.case == "case1"
     # case 1 deletes a_11, a_12 with beta0 = (a_13 a_12 a_11): lam*beta0 is
     # lam with the deleted points cut out of their cycle
@@ -122,17 +122,17 @@ def test_two_datum_case1_trace_invariant():
 def test_two_datum_case_dispatch_order_swap():
     # construction normalizes to the defect-heavy side; output order must
     # still match the caller's argument order
-    lam, beta, _ = two_datum_construct(P([2, 2, 2, 1]), P([4, 3]))
+    lam, beta, _, _ = two_datum_construct(P([2, 2, 2, 1]), P([4, 3]))
     assert two_datum_construct(P([4, 3]), P([2, 2, 2, 1]))[:2] == (beta, lam)
     _check_pair(P([2, 2, 2, 1]), P([4, 3]), lam, beta)
 
 
 def test_two_datum_full_cycle_partitions():
-    lam, beta, _ = two_datum_construct(P([5]), P([5]))
+    lam, beta, _, _ = two_datum_construct(P([5]), P([5]))
     _check_pair(P([5]), P([5]), lam, beta)
-    lam, beta, _ = two_datum_construct(P([5]), P([2, 2, 1]))
+    lam, beta, _, _ = two_datum_construct(P([5]), P([2, 2, 1]))
     _check_pair(P([5]), P([2, 2, 1]), lam, beta)
-    lam, beta, _ = two_datum_construct(P([9]), P([3, 3, 1, 1, 1]))
+    lam, beta, _, _ = two_datum_construct(P([9]), P([3, 3, 1, 1, 1]))
     _check_pair(P([9]), P([3, 3, 1, 1, 1]), lam, beta)
 
 
@@ -143,8 +143,9 @@ def test_two_datum_exhaustive_sweep_small():
             nu = A.nu + B.nu
             if nu % 2 != 0 or nu <= d - 1:
                 continue
-            lam, beta, _ = two_datum_construct(A, B)
+            lam, beta, _, product = two_datum_construct(A, B)
             _check_pair(A, B, lam, beta)
+            assert product == compose(lam, beta)
 
 
 _UNWIND_STEP = construct._unwind_step
@@ -508,7 +509,7 @@ def test_single_branch_verdict():
 
 def test_trace_fields_on_case1_split():
     # surplus defect forces the split machinery on the kept points
-    lam, beta, trace = two_datum_construct(P([7]), P([7]))
+    lam, beta, trace, _ = two_datum_construct(P([7]), P([7]))
     assert trace.case == "case1"
     assert trace.merge.kind == "split"
 

@@ -297,7 +297,7 @@ def test_anchored_split_needs_no_random_merge(monkeypatch):
     for j in range(9):  # [5,2^(4+j),1,1];[3^5,2^j], d = 15..31
         pairs.append((Partition([5, *[2] * (4 + j), 1, 1]), Partition([*[3] * 5, *[2] * j])))
     for D1, D2 in pairs:
-        lam, beta, trace = two_datum_construct(D1, D2)  # checked at its exit
+        lam, beta, trace, _ = two_datum_construct(D1, D2)  # checked at its exit
         assert trace.merge.kind == "split", (D1, D2)
         assert lam.cycle_type() == D1 and beta.cycle_type() == D2
 

@@ -13,7 +13,7 @@ from branchcover.groups import (
     is_transitive,
     primitivity_fast_path,
 )
-from branchcover.perm import Permutation, identity, parse_cycles
+from branchcover.perm import Permutation, compose, identity, parse_cycles
 
 
 def gens(*texts, d):
@@ -140,10 +140,16 @@ def _random_gens(rng, dom, k):
     """k random permutations of dom; about half the time, when len(dom) has
     a proper divisor m, all of them keep one random system of m-blocks."""
     d = len(dom)
-    sizes = [m for m in range(2, d) if d % m == 0]
-    if not sizes or rng.random() < 0.5:
+    if not any(d % m == 0 for m in range(2, d)) or rng.random() < 0.5:
         return [Permutation(tuple(rng.sample(dom, d)), dom) for _ in range(k)]
-    m = rng.choice(sizes)
+    return _wreath_gens(rng, dom, k)
+
+
+def _wreath_gens(rng, dom, k):
+    """k random permutations of dom that all keep one random system of
+    m-blocks, m a random proper divisor of len(dom)."""
+    d = len(dom)
+    m = rng.choice([m for m in range(2, d) if d % m == 0])
     shuffled = rng.sample(dom, d)
     blocks = [shuffled[i : i + m] for i in range(0, d, m)]
     out = []
@@ -434,3 +440,50 @@ def test_orbit_minima_scan_matches_the_plain_scan(gapped):
         verdicts[got[0]] += 1
     assert min(verdicts.values()) >= 20
     assert fixing >= 35
+
+
+def _keeping_gens(rng, dom, k, kind):
+    """k random permutations of dom that keep a system of blocks (wreath),
+    a split of dom in two (intransitive), or nothing (random)."""
+    if kind == "wreath":
+        return _wreath_gens(rng, dom, k)
+    if kind == "intransitive":
+        return _split_gens(rng, dom, k)
+    return [Permutation(tuple(rng.sample(dom, len(dom))), dom) for _ in range(k)]
+
+
+@pytest.mark.parametrize("gapped", [False, True])
+def test_relation_makes_the_last_image_redundant(gapped):
+    """For generator images under the relation a^2 u_1 ... u_s = 1 (rp2) or
+    u_1 ... u_s = 1 (s2), dropping u_s keeps the group: transitivity agrees,
+    and `is_primitive` gives the same verdict and witness block system, on
+    seeded random, wreath-product and intransitive sets at d <= 61, with
+    one to three images left."""
+    rng = random.Random(3001 if gapped else 3003)
+    primes = [p for p in range(2, 400) if groups._largest_proper_divisor(p) == 1]
+    counts = {"primitive": 0, "imprimitive": 0, "intransitive": 0}
+    for i in range(150):
+        d = rng.randint(4, 61)
+        dom = primes[:d] if gapped else list(range(1, d + 1))
+        kind = ("random", "wreath", "intransitive")[i % 3]
+        if kind == "wreath" and groups._largest_proper_divisor(d) == 1:
+            kind = "random"
+        base = rng.choice(("rp2", "s2"))
+        s = rng.randint(1, 3) if base == "rp2" else rng.randint(2, 4)
+        while True:  # random and wreath sets are drawn until transitive
+            head = _keeping_gens(rng, dom, s if base == "rp2" else s - 1, kind)
+            relation = [head[0], *head] if base == "rp2" else head  # a a u_1 ... u_{s-1}
+            images = [*head, compose(*relation).inverse()]
+            if kind == "intransitive" or is_transitive(images):
+                break
+        assert compose(*relation, images[-1]).is_identity()
+        reduced = images[:-1]
+        transitive = is_transitive(images)
+        assert is_transitive(reduced) == transitive
+        got = _outcome(is_primitive, images)
+        assert _outcome(is_primitive, reduced) == got, (base, d, kind)
+        if not transitive:
+            counts["intransitive"] += 1
+        else:
+            counts["primitive" if got[0] else "imprimitive"] += 1
+    assert min(counts.values()) >= 20, counts

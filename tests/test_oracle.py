@@ -390,3 +390,34 @@ def test_census_builds_each_nu_ordered_pair_once(monkeypatch):
     assert len(calls) == len(ordered) == 157
     assert all(D1.nu >= D2.nu for D1, D2, _ in calls)
     assert sum(r.classification == "constructed" for r in rows) == 2322
+
+
+def test_census_composes_each_pair_product_once(monkeypatch):
+    """A factor pair's product lam*beta is composed once, by the pair's exit
+    check, and handed on: the fast path and `_pair` take it instead of
+    composing it again.  One `census(9, 3)` call composes 157 such products
+    for its 157 distinct pairs.  Pairs and composed arguments are matched by
+    identity, and both stay alive to the end, so no id is reused."""
+    construct.load_appendix_table()  # its rows are checked once, when loaded
+    pairs, composed = [], []
+    original_pair = construct.two_datum_construct
+    original_compose = perm.compose
+
+    def building(*args):
+        lam, beta, trace, product = original_pair(*args)
+        assert product == original_compose(lam, beta)
+        pairs.append((lam, beta))
+        return lam, beta, trace, product
+
+    def composing(*gens):
+        composed.append(gens)
+        return original_compose(*gens)
+
+    monkeypatch.setattr(construct, "two_datum_construct", building)
+    for module in (construct, groups):
+        monkeypatch.setattr(module, "compose", composing)
+    rows = list(census(9, 3))
+    assert sum(r.classification == "constructed" for r in rows) == 2322
+    assert len(pairs) == 157
+    ids = {(id(lam), id(beta)) for lam, beta in pairs}
+    assert sum(tuple(map(id, gens)) in ids for gens in composed) == 157

@@ -437,6 +437,42 @@ def test_every_report_matches_the_exact_scan(monkeypatch):
     assert set(kinds) <= scanned
 
 
+def test_the_closure_drops_u_s_only_under_the_relation(monkeypatch):
+    """A relation-holding certificate reaches the block closure with its
+    images less u_s: s tables over rp2 (a, u_1, ..., u_{s-1}) and s - 1 over
+    the sphere.  Once one u-image is conjugated by a transposition, which
+    keeps its cycle type and breaks the relation, every image is used:
+    s + 1 and s tables."""
+    seen = []
+    original = groups._block_closure
+
+    def counting(tables, *args):
+        seen.append(len(tables))
+        return original(tables, *args)
+
+    monkeypatch.setattr(groups, "_block_closure", counting)
+    rng = random.Random(30)
+    d = 15
+    blocks = [tuple(range(i, i + 3)) for i in range(1, d + 1, 3)]
+    swap = Permutation.from_mapping({1: 4, 4: 1}, d)
+    for base, s in (("rp2", 1), ("rp2", 2), ("rp2", 4), ("s2", 2), ("s2", 4)):
+        while True:
+            head = [_keeping(rng, d, blocks, True) for _ in range(s if base == "rp2" else s - 1)]
+            relation = [head[0], *head] if base == "rp2" else head
+            images = (*head, compose(*relation).inverse())
+            if groups.is_transitive(images) and not images[-1].is_identity():
+                break
+        a, us = (images[0], images[1:]) if base == "rp2" else (None, images)
+        datum = BranchDatum(base=base, degree=d, partitions=tuple(u.cycle_type() for u in us))
+        cert = HurwitzCertificate(base=base, degree=d, datum=datum, a_image=a, u_images=us)
+        tampered = cert._replace(u_images=(compose(swap, us[0], swap), *us[1:]))
+        for c, tables in ((cert, len(images) - 1), (tampered, len(images))):
+            seen.clear()
+            report = verify_certificate(c)
+            assert report.relation_ok == (c is cert) and report.transitive, (base, s)
+            assert seen and set(seen) == {tables}, (base, s)
+
+
 def test_verifier_chi_arithmetic():
     cert = realize_rp2(parse_datum("[3,2];[3,2];[2,2,1]", "rp2"))
     report = verify_certificate(cert)

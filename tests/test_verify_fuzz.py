@@ -12,17 +12,25 @@ is valid-indecomposable.
 The sources are census certificates at d = 7 and 9, wreath-product
 certificates at d = 9 and 15, and sphere certificates at d = 8..12 whose
 u[1] fixes point 1 (random, block-keeping and intransitive ones), so that
-`is_primitive` prunes its closure scan by that generator.
+`is_primitive` prunes its closure scan by that generator.  A last family
+breaks the relation with a last u-image that alone makes the group
+transitive, or primitive: the verifier may leave u_s out of the group only
+when the relation holds, and the transitive and primitive fields of the
+line show whether it did.  A seeded share of the cases runs again through
+the command in one `python -O` process.
 """
 
+import json
 import random
 import re
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from branchcover.cli import main
 from branchcover.construct import BranchDatum, admissible
 from branchcover.oracle import partitions_of
 from branchcover.realize import certificate_to_text, realize_rp2
+from test_cli import _python_process
 
 CHI = {"rp2": 1, "s2": 2}
 KEYS = ("base", "degree", "datum", "a")
@@ -309,6 +317,50 @@ def _sphere_sources(rng):
     return texts
 
 
+def _part_keeping(rng, parts, d):
+    """A random permutation of 1..d mapping each of ``parts`` onto itself."""
+    p = list(range(d + 1))
+    for part in parts:
+        for x, y in zip(part, rng.sample(part, len(part))):
+            p[x] = y
+    return p
+
+
+def _broken_relation_sources(rng):
+    """Certificates whose relation fails and whose last u-image alone makes
+    the group transitive (the other images keep a split of the points in
+    two) or primitive (they keep a system of blocks): rp2 with s = 2 at
+    d = 9 and 15, and s2 with s = 3 at d = 8, 10 and 12."""
+    texts = []
+    for base, d in (("rp2", 9), ("rp2", 15), ("s2", 8), ("s2", 10), ("s2", 12)):
+        for kind in ("transitive", "primitive"):
+            while True:
+                if kind == "transitive":
+                    k = rng.randint(2, d - 2)
+                    head = [_part_keeping(rng, [range(1, k + 1), range(k + 1, d + 1)], d)
+                            for _ in range(2)]
+                else:
+                    size = rng.choice([m for m in range(2, d) if d % m == 0])
+                    labels = rng.sample(range(1, d + 1), d)
+                    blocks = [labels[i : i + size] for i in range(0, d, size)]
+                    head = [_block_keeping(rng, blocks, d) for _ in range(2)]
+                last = [0, *rng.sample(range(1, d + 1), d)]
+                gens = [*head, last]
+                relation = [head[0], *gens] if base == "rp2" else gens
+                if _close(relation) == list(range(d + 1)) or any(
+                    _cycle_type(u) == (1,) * d for u in gens[base == "rp2" :]
+                ):
+                    continue  # the relation must fail, and no u-image be trivial
+                if kind == "transitive":
+                    if _transitive(gens, d):
+                        break
+                elif _transitive(head, d) and _transitive(gens, d) and not _has_block(gens, d):
+                    break
+            a, us = (head[0], gens[1:]) if base == "rp2" else (None, gens)
+            texts.append(_certificate(base, d, a, us))
+    return texts
+
+
 # -- mutations --------------------------------------------------------------------
 
 
@@ -412,37 +464,96 @@ def mutate(rng, text: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-# -- the test ---------------------------------------------------------------------
+# -- the tests --------------------------------------------------------------------
 
 
-def test_mutated_certificates_get_the_oracle_verdict(tmp_path, capsys):
+@lru_cache(maxsize=1)
+def _cases():
+    """Every source text, each followed by ten seeded mutations of it."""
     rng = random.Random(2801)
     sources = _census_sources() + _wreath_sources(rng) + _sphere_sources(rng)
     cases = []
     for text in sources:
         cases.append(text.encode())
         cases += [mutate(rng, text) for _ in range(10)]
-    counts = dict.fromkeys(("parse", "indecomposable", "decomposable", "invalid", "pruned"), 0)
+    rng = random.Random(3001)
+    for text in _broken_relation_sources(rng):
+        cases.append(text.encode())
+        cases += [mutate(rng, text) for _ in range(10)]
+    return tuple(cases)
+
+
+def _expected(data):
+    """(exit status, stdout, stderr prefix) that the command must give."""
+    parsed = oracle_parse(data)
+    if parsed is None:
+        return 3, "", "parse error: "
+    line = oracle_line(parsed)
+    return (0 if "verdict=valid-indecomposable " in line else 1), line + "\n", ""
+
+
+def test_mutated_certificates_get_the_oracle_verdict(tmp_path, capsys):
+    cases = _cases()
+    counts = dict.fromkeys(
+        ("parse", "indecomposable", "decomposable", "invalid", "pruned", "u_s"), 0
+    )
     f = tmp_path / "certificate.txt"
     for data in cases:
         f.write_bytes(data)
         code = main(["verify", "--certificate", str(f)])
         out, err = capsys.readouterr()
-        parsed = oracle_parse(data)
-        if parsed is None:
-            assert (code, out) == (3, ""), data
-            assert err.startswith("parse error: "), data
+        want_code, want_out, want_err = _expected(data)
+        assert (code, out) == (want_code, want_out), data
+        assert err.startswith(want_err) and bool(err) == bool(want_err), data
+        if want_code == 3:
             counts["parse"] += 1
             continue
-        line = oracle_line(parsed)
-        assert (out, err) == (line + "\n", ""), data
-        assert code == (0 if "verdict=valid-indecomposable " in line else 1), data
-        counts[line.split()[0].partition("=")[2].removeprefix("valid-")] += 1
-        _, d, _, a, us = parsed
+        counts[want_out.split()[0].partition("=")[2].removeprefix("valid-")] += 1
+        _, d, _, a, us = oracle_parse(data)
         composite = any(d % k == 0 for k in range(2, d))
         fixing = any(g[1] == 1 for g in (us if a is None else [a, *us]))
-        counts["pruned"] += composite and fixing and "transitive=True" in line
-    assert len(cases) >= 300
+        counts["pruned"] += composite and fixing and "transitive=True" in want_out
+        # the relation fails, and the images less u_s span a group that is
+        # not transitive, or not primitive, where all of them are both
+        head = us[:-1] if a is None else [a, *us[:-1]]
+        if "relation=False" in want_out and head and "primitive=True" in want_out:
+            counts["u_s"] += not _transitive(head, d) or _has_block(head, d)
+    assert len(cases) >= 400
     assert counts["parse"] >= 60 and counts["invalid"] >= 60
     assert counts["indecomposable"] >= 30 and counts["decomposable"] >= 30
-    assert counts["pruned"] >= 60
+    assert counts["pruned"] >= 60 and counts["u_s"] >= 20
+
+
+# Verifies each certificate file named on the command line, as `branchcover
+# verify` does, and prints one JSON line [status, stdout, stderr] per file.
+_VERIFY_EACH = """
+import contextlib, io, json, sys
+from branchcover.cli import main
+for path in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--certificate", path])
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def test_mutated_certificates_under_optimize(tmp_path):
+    """A seeded share of the cases, the broken-relation family among them,
+    gives the oracle's line and exit status in one `python -O` process, in
+    which every `assert` is stripped."""
+    cases = _cases()
+    picked = sorted(random.Random(3011).sample(range(len(cases)), 120))
+    paths = []
+    for i in picked:
+        path = tmp_path / f"case{i}.txt"
+        path.write_bytes(cases[i])
+        paths.append(str(path))
+    proc = _python_process("-c", _VERIFY_EACH, *paths, optimize=True)
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    results = [json.loads(line) for line in proc.stdout.decode().splitlines()]
+    assert len(results) == len(picked)
+    for i, (code, out, err) in zip(picked, results):
+        want_code, want_out, want_err = _expected(cases[i])
+        assert (code, out) == (want_code, want_out), cases[i]
+        assert err.startswith(want_err) and bool(err) == bool(want_err), cases[i]
+    assert sum(i >= len(cases) - 110 for i in picked) >= 20  # the last family's 110
