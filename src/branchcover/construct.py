@@ -58,9 +58,9 @@ tagged for another base.  The sphere reaches it through an rp2 tail
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from functools import lru_cache, partial
 from importlib import resources
-from typing import NamedTuple
 
 from .errors import InadmissibleError, ParseError
 from .groups import GroupError, is_primitive, is_transitive, primitivity_fast_path
@@ -97,13 +97,7 @@ from .perm import (
 # -- branch data -----------------------------------------------------------------
 
 
-class _BranchDatumFields(NamedTuple):
-    base: str
-    degree: int
-    partitions: tuple[Partition, ...]
-
-
-class BranchDatum(_BranchDatumFields):
+class BranchDatum(namedtuple("_BranchDatumFields", "base degree partitions")):
     """Base surface tag, degree, and one partition per branch point.
 
     Every way of making one runs the checks of ``__new__``: ``_make`` (and so
@@ -203,14 +197,7 @@ def parse_datum(text: str, base: str) -> BranchDatum:
 # -- golden table ------------------------------------------------------------------
 
 
-class AppendixRow(NamedTuple):
-    index: int
-    degree: int
-    D1: Partition
-    D2: Partition
-    lam: Permutation
-    beta: Permutation
-    product: Permutation
+AppendixRow = namedtuple("AppendixRow", "index degree D1 D2 lam beta product")
 
 
 def _parse_table(text: str) -> tuple[AppendixRow, ...]:
@@ -279,11 +266,10 @@ def _table_by_key() -> dict:
 # -- construction trace -------------------------------------------------------------
 
 
-class ConstructionTrace(NamedTuple):
-    """The route of a pair: its case, and the re-insertion merge's trace."""
-
-    case: str
-    merge: MergeTrace | None = None
+ConstructionTrace = namedtuple("ConstructionTrace", "case merge", defaults=(None,))
+ConstructionTrace.__doc__ = (
+    "The route of a pair: its case, and the re-insertion merge's trace."
+)
 
 
 # -- the two-partition construction --------------------------------------------------
@@ -512,12 +498,8 @@ def _conjugate_pair(gamma1, gamma2, lam):
     return conjugate(gamma1, lam), conjugate(gamma2, lam)
 
 
-class ReductionStep(NamedTuple):
-    reduced: BranchDatum
-    gamma1: Permutation
-    gamma2: Permutation
-    merged: tuple[int, int]
-    product: Permutation  # gamma1 * gamma2, of the type of reduced's first partition
+# product is gamma1 * gamma2, of the type of reduced's first partition
+ReductionStep = namedtuple("ReductionStep", "reduced gamma1 gamma2 merged product")
 
 
 def _merge_rule(top, nu, d):

@@ -41,7 +41,8 @@ always checked, so a fallback that does fire still carries correctness.
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Iterable, Sequence
 
 from .perm import (
     Partition,
@@ -61,8 +62,7 @@ class EksError(ValueError):
     """Precondition violation or exhausted internal search."""
 
 
-class MergeTrace(NamedTuple):
-    kind: str                      # 'threading' | 'split' | 'search'
+MergeTrace = namedtuple("MergeTrace", "kind")  # kind: 'threading' | 'split' | 'search'
 
 
 # -- greedy threading -----------------------------------------------------------

@@ -20,8 +20,9 @@ transitive group raises `IntransitiveError` for any other.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd, prod
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .perm import Permutation, compose
 
@@ -34,12 +35,8 @@ class IntransitiveError(GroupError):
     """An operation defined for transitive groups got an intransitive one."""
 
 
-class BlockSystem(NamedTuple):
-    """An invariant partition of the points into equal-size blocks."""
-
-    degree: int
-    blocks: tuple[tuple[int, ...], ...]
-    block_size: int
+BlockSystem = namedtuple("BlockSystem", "degree blocks block_size")
+BlockSystem.__doc__ = "An invariant partition of the points into equal-size blocks."
 
 
 def _check_gens(gens: Sequence[Permutation]) -> tuple[int, ...]:

@@ -8,8 +8,9 @@ that realizes and verifies every admissible datum of a given degree.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from itertools import combinations_with_replacement
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .construct import BranchDatum, _admission
 from .errors import InadmissibleError
@@ -117,15 +118,12 @@ def partitions_of(n: int) -> list[Partition]:
     return out
 
 
-class CensusRow(NamedTuple):
-    """One datum of a census.  ``millis`` is the wall time of this row's own
-    work: a datum whose sub-constructions an earlier row already built reuses
-    their factor pairs and reads lower."""
-
-    datum: str
-    nu: int
-    classification: str
-    millis: float
+CensusRow = namedtuple("CensusRow", "datum nu classification millis")
+CensusRow.__doc__ = (
+    "One datum of a census.  ``millis`` is the wall time of this row's own "
+    "work: a datum whose sub-constructions an earlier row already built reuses "
+    "their factor pairs and reads lower."
+)
 
 
 def census(d: int, max_s: int, seed: int = 0) -> Iterator[CensusRow]:

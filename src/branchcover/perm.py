@@ -42,7 +42,6 @@ stale.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -287,9 +286,6 @@ def conjugator_matching(p: Permutation, q: Permutation) -> Permutation:
 
 # -- cycle notation -----------------------------------------------------------
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
 def from_cycles(
     cycles: Iterable[Sequence[int]], domain: Iterable[int] | int
 ) -> Permutation:
@@ -318,22 +314,29 @@ def from_cycles(
 
 
 def parse_cycles(text: str, domain: Iterable[int] | int) -> Permutation:
-    """Parse cycle notation like ``(1 2 3)(4 5)``; ``()`` is the identity."""
+    """Parse cycle notation like ``(1 2 3)(4 5)``; ``()`` is the identity.
+
+    The text is parenthesised bodies with no parenthesis inside, apart only
+    by whitespace.  One split at the closing parentheses reads it: each
+    piece before the last is whitespace, ``(`` and a body, and the last
+    piece is empty."""
     text = text.strip()
     if not text:
         raise PermError("empty cycle expression")
-    stripped = _CYCLE_RE.sub("", text)
-    if stripped.strip():
-        raise PermError(f"malformed cycle notation: {text!r}")
+    *pieces, rest = text.split(")")
     cycles = []
-    for body in _CYCLE_RE.findall(text):
-        body = body.strip()
-        if not body:
-            continue
-        try:
-            cycles.append(_numerals(body.split()))
-        except ValueError as exc:
-            raise PermError(f"malformed cycle notation: {text!r}") from exc
+    try:
+        if rest:  # the text is stripped: what follows the last ")" is no space
+            raise ValueError(f"text after the last cycle: {rest!r}")
+        for piece in pieces:
+            space, opened, body = piece.partition("(")
+            if not opened or space.strip():
+                raise ValueError(f"not one cycle: {piece!r}")
+            tokens = body.split()  # a "(" in the body is a token, no numeral
+            if tokens:
+                cycles.append(_numerals(tokens))
+    except ValueError as exc:
+        raise PermError(f"malformed cycle notation: {text!r}") from exc
     return from_cycles(cycles, domain)
 
 

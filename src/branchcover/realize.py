@@ -26,7 +26,7 @@ is decided on every image.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .construct import (
     BranchDatum,
@@ -59,15 +59,9 @@ from .perm import (
 _CHI_BASE = {"rp2": 1, "s2": 2}
 
 
-class _CertificateFields(NamedTuple):
-    base: str
-    degree: int
-    datum: BranchDatum
-    a_image: Permutation | None
-    u_images: tuple[Permutation, ...]
-
-
-class HurwitzCertificate(_CertificateFields):
+class HurwitzCertificate(
+    namedtuple("_CertificateFields", "base degree datum a_image u_images")
+):
     """Generator images witnessing a realization; the verifiable artifact.
 
     Every way of making one runs the checks of ``__new__``, as for
@@ -100,14 +94,11 @@ class HurwitzCertificate(_CertificateFields):
         return type(self), tuple(self)
 
 
-class VerificationReport(NamedTuple):
-    relation_ok: bool
-    cycle_types_ok: bool
-    transitive: bool
-    primitive: bool
-    chi_M: int
-    verdict: str
-    reason: str = ""
+VerificationReport = namedtuple(
+    "VerificationReport",
+    "relation_ok cycle_types_ok transitive primitive chi_M verdict reason",
+    defaults=("",),
+)
 
 
 def euler_characteristic(base: str, d: int, nu: int) -> int:
@@ -307,6 +298,12 @@ def certificate_from_text(text: str) -> HurwitzCertificate:
     u_lines.sort()
     if [i for i, _ in u_lines] != list(range(1, len(u_lines) + 1)):
         raise ParseError("u-lines must be numbered 1..s")
+    # the text alone decides these, so no cycle is built on a claimed
+    # domain first; HurwitzCertificate checks them again for every path
+    if ("a" in fields) != (base == "rp2"):
+        raise ParseError("a-image present iff the base is the projective plane")
+    if len(u_lines) != len(datum.partitions):
+        raise ParseError("one u-image per branch point required")
     try:
         us = tuple(parse_cycles(txt, degree) for _, txt in u_lines)
         a = parse_cycles(fields["a"], degree) if "a" in fields else None

@@ -1,6 +1,32 @@
 """Reference code that tests compare the library against."""
 
-from branchcover.perm import PermError, Permutation, from_cycles
+import re
+
+from branchcover.perm import PermError, Permutation, _numerals, from_cycles
+
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def regex_parse_cycles(text: str, domain) -> Permutation:
+    """`perm.parse_cycles` as a regular expression reads cycle notation:
+    the text, stripped, must be nothing but whitespace once every
+    parenthesised body without parentheses is removed."""
+    text = text.strip()
+    if not text:
+        raise PermError("empty cycle expression")
+    stripped = _CYCLE_RE.sub("", text)
+    if stripped.strip():
+        raise PermError(f"malformed cycle notation: {text!r}")
+    cycles = []
+    for body in _CYCLE_RE.findall(text):
+        body = body.strip()
+        if not body:
+            continue
+        try:
+            cycles.append(_numerals(body.split()))
+        except ValueError as exc:
+            raise PermError(f"malformed cycle notation: {text!r}") from exc
+    return from_cycles(cycles, domain)
 
 
 def insertion_recombine(lam: Permutation, downstairs: Permutation, keep) -> Permutation:

@@ -3,6 +3,7 @@
 import ast
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -333,7 +334,7 @@ def test_verify_one_generator_left(tmp_path, capsys, monkeypatch, text, code, li
     assert spans == [1]
 
 
-def _python_process(*args, optimize=False):
+def _python_process(*args, optimize=False, preexec_fn=None):
     """Run a fresh interpreter with the library on its path, with -O if asked."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -344,6 +345,7 @@ def _python_process(*args, optimize=False):
         capture_output=True,
         env=env,
         timeout=60,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -358,6 +360,44 @@ def test_verify_without_asserts(tmp_path):
     proc = _cli_process("verify", "--certificate", str(f), optimize=True)
     assert proc.returncode == 1
     assert b"primitive=False" in proc.stdout
+
+
+def _limit_address_space():
+    """In the child: 1.5 GB of address space, so that building a claimed
+    domain of 10^9 points fails instead of exhausting the machine."""
+    limit = 1_500_000_000
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "base: rp2\ndegree: 1000000000\ndatum: [1000000000]\nu[1]: ()\n",
+            "a-image present iff the base is the projective plane",
+        ),
+        (
+            "base: s2\ndegree: 1000000000\ndatum: [999999998,1,1];[1000000000]\n"
+            "u[1]: ()\n",
+            "one u-image per branch point required",
+        ),
+    ],
+    ids=["rp2-without-a", "s2-one-u-line-short"],
+)
+def test_verify_reads_the_structure_before_any_cycle(tmp_path, text, message):
+    """A certificate whose lines contradict its base or its datum fails on
+    the text alone: no u-line is built on the 10^9 points it claims."""
+    f = tmp_path / "cert.txt"
+    f.write_text(text)
+    start = time.perf_counter()
+    proc = _python_process(
+        "-m", "branchcover.cli", "verify", "--certificate", str(f),
+        preexec_fn=_limit_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (3, b""), proc.stderr
+    assert proc.stderr == f"parse error: {message}\n".encode()
+    assert elapsed < 0.5
 
 
 def _is_assert(node) -> bool:

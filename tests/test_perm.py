@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -24,7 +25,7 @@ from branchcover.perm import (
     random_in_class,
     sqrt_odd_cycle,
 )
-from reference import insertion_recombine
+from reference import insertion_recombine, regex_parse_cycles
 
 
 def test_from_cycles_appendix_line_one():
@@ -335,6 +336,63 @@ def test_cycle_labels_are_ascii_digits(text):
     label takes ASCII digits alone."""
     with pytest.raises(PermError, match="malformed cycle notation"):
         parse_cycles(text, 4)
+
+
+# Pieces of the differential test's strings: parentheses, whitespace (ASCII
+# and not), ASCII labels in and out of 1..9, non-ASCII digits, signs, "_"
+# and letters.
+_CYCLE_PIECES = (
+    "(", ")", "()", " ", "\t", "\n", "\u3000", "\x1c",
+    "1", "2", "3", "5", "9", "0", "01", "10", "12",
+    "\u0661", "\uff12", "\u00b2", "+", "-", "_", "a", "Z",
+)
+
+
+def _cycle_text(rng):
+    """Cycle notation over 1..9 with up to three edits (a piece inserted, a
+    character deleted or replaced by a piece), or a string of pieces alone."""
+    if rng.random() < 0.3:
+        return "".join(rng.choices(_CYCLE_PIECES, k=rng.randrange(12)))
+    space = lambda: rng.choice(("", "", " ", "  ", "\t", "\u3000"))
+    chars = []
+    for _ in range(rng.randrange(1, 5)):
+        labels = map(str, rng.sample(range(1, 10), rng.randrange(5)))
+        body = rng.choice((" ", "  ", "\t", "\u3000")).join(labels)
+        chars += [space(), "(", space(), body, space(), ")"]
+    chars = list("".join(chars))
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 or i == len(chars):
+            chars.insert(i, rng.choice(_CYCLE_PIECES))
+        elif op == 1:
+            del chars[i]
+        else:
+            chars[i] = rng.choice(_CYCLE_PIECES)
+    return "".join(chars)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, 9)
+    except PermError as exc:
+        return str(exc)
+
+
+def test_parse_cycles_reads_what_the_regex_reader_reads():
+    """The split-based reader against the regular-expression reader it
+    replaced: on seeded strings both give the same permutation, or both
+    raise PermError with the same message."""
+    rng = random.Random(20171)
+    kinds = Counter()
+    for _ in range(100_000):
+        text = _cycle_text(rng)
+        want = _outcome(regex_parse_cycles, text)
+        assert _outcome(parse_cycles, text) == want, text
+        kinds[want.split()[0] if isinstance(want, str) else "parsed"] += 1
+    # accepted, malformed, empty, and a label out of range or repeated
+    assert set(kinds) == {"parsed", "malformed", "empty", "label"}
+    assert min(kinds.values()) > 1000, kinds
 
 
 @pytest.mark.parametrize("text", ["[+3,1]", "[3,0_1]", "[\uff13,1]", "[3,,1]", "[3,1 1]"])

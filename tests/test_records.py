@@ -112,6 +112,33 @@ def test_record_is_an_immutable_value(name):
     assert repr(rec) == text
 
 
+FIELDS = {
+    CensusRow: ("datum", "nu", "classification", "millis"),
+    VerificationReport: (
+        "relation_ok", "cycle_types_ok", "transitive", "primitive", "chi_M", "verdict", "reason"
+    ),
+    BlockSystem: ("degree", "blocks", "block_size"),
+    AppendixRow: ("index", "degree", "D1", "D2", "lam", "beta", "product"),
+    ReductionStep: ("reduced", "gamma1", "gamma2", "merged", "product"),
+    MergeTrace: ("kind",),
+    ConstructionTrace: ("case", "merge"),
+    BranchDatum: ("base", "degree", "partitions"),
+    HurwitzCertificate: ("base", "degree", "datum", "a_image", "u_images"),
+}
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_record_fields_and_defaults(cls):
+    """The field names in order, and the two defaults: a report without a
+    reason, and a route without a merge."""
+    defaults = {
+        VerificationReport: {"reason": ""},
+        ConstructionTrace: {"merge": None},
+    }
+    assert cls._fields == FIELDS[cls]
+    assert cls._field_defaults == defaults.get(cls, {})
+
+
 _D3 = BranchDatum("rp2", 3, (Partition([3]),))
 
 # (class, field names, bad inputs with the error each raises)

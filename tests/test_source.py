@@ -22,6 +22,30 @@ def test_no_module_rests_on_assert():
     assert found == []
 
 
+def test_no_module_imports_namedtuple_from_typing_or_re():
+    """Set-up stays cheap: records are `collections.namedtuple` classes,
+    which `typing.NamedTuple` would build only after reading every field
+    annotation, and no text is read with a compiled regular expression."""
+    package = Path(branchcover.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(package)}:{node.lineno}: {name}"
+                for name in names
+                if name in ("typing.NamedTuple", "re") or name.startswith("re.")
+            ]
+    assert found == []
+
+
 def test_only_perm_reads_the_stored_form():
     """How a `Permutation` is stored is `perm`'s decision: no other module
     reads a private attribute of one (a slot, `_fill` or `_of`), except the
