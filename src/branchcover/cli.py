@@ -2,6 +2,10 @@
 
 Exit codes: 0 success/verified, 1 verification failure, 2 inadmissible or
 out-of-scope input, 3 parse error.
+
+Each command imports the modules it runs when it runs, so `verify` loads
+the verifier and no builder: `construct`, `eks`, `oracle` and `realize`
+stay unloaded.
 """
 
 from __future__ import annotations
@@ -10,24 +14,8 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from .construct import (
-    admissible,
-    load_appendix_table,
-    parse_datum,
-    single_branch_verdict,
-)
-from .eks import EksError
-from .errors import InadmissibleError, ParseError, VerificationError
-from .oracle import census
+from .errors import EksError, InadmissibleError, ParseError, VerificationError
 from .perm import PermError
-from .realize import (
-    certificate_from_text,
-    certificate_to_text,
-    euler_characteristic,
-    realize_rp2,
-    realize_sphere,
-    verify_certificate,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -36,6 +24,10 @@ EXIT_PARSE = 3
 
 
 def _cmd_admissible(args) -> int:
+    from .construct import admissible
+    from .perm import parse_datum
+    from .verify import euler_characteristic
+
     datum = parse_datum(args.datum, args.base)
     if datum.degree != args.degree:
         raise ParseError(
@@ -51,6 +43,14 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .perm import parse_datum
+    from .realize import (
+        certificate_to_text,
+        euler_characteristic,
+        realize_rp2,
+        realize_sphere,
+    )
+
     datum = parse_datum(args.datum, args.base)
     cert = realize_rp2(datum, args.seed) if args.base == "rp2" else realize_sphere(
         datum, args.seed
@@ -67,6 +67,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import certificate_from_text, verify_certificate
+
     with open(args.certificate, encoding="utf-8") as fh:
         cert = certificate_from_text(fh.read())
     report = verify_certificate(cert)
@@ -82,12 +84,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_table(args) -> int:
+    from .construct import load_appendix_table
+
     rows = load_appendix_table()  # checks every row as it loads
     print(f"{len(rows)}/19 appendix rows verified")
     return EXIT_OK
 
 
 def _cmd_census(args) -> int:
+    from .oracle import census
+
     rows = census(args.degree, args.max_s, args.seed)  # checks the caps
     counts = {"constructed": 0, "boundary": 0, "inadmissible": 0}
     # opened before the first datum is built, so a bad path fails at once
@@ -109,6 +115,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_single_branch(args) -> int:
+    from .construct import single_branch_verdict
+
     print(single_branch_verdict(args.degree))
     return EXIT_OK
 

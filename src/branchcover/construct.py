@@ -62,11 +62,10 @@ from collections import namedtuple
 from functools import lru_cache, partial
 from importlib import resources
 
-from .errors import InadmissibleError, ParseError
+from .errors import EksError, InadmissibleError
 from .groups import GroupError, is_primitive, is_transitive, primitivity_fast_path
 from .groups import _largest_proper_divisor
 from .eks import (
-    EksError,
     MergeTrace,
     _canonical_merge,
     _reduced,
@@ -74,7 +73,8 @@ from .eks import (
     product_defect_exact,
     product_defect_reduced,
 )
-from .perm import (
+from .perm import (  # parse_datum only re-exported: callers read it here
+    BranchDatum,
     Partition,
     PermError,
     Permutation,
@@ -88,52 +88,14 @@ from .perm import (
     embed,
     from_cycles,
     parse_cycles,
+    parse_datum,
     project,
     random_in_class,
     sqrt_odd_cycle,
 )
 
 
-# -- branch data -----------------------------------------------------------------
-
-
-class BranchDatum(namedtuple("_BranchDatumFields", "base degree partitions")):
-    """Base surface tag, degree, and one partition per branch point.
-
-    Every way of making one runs the checks of ``__new__``: ``_make`` (and so
-    ``_replace``), copy and pickle all call the class.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, base: str, degree: int, partitions: tuple[Partition, ...]):
-        if base not in ("rp2", "s2"):
-            raise ParseError(f"unknown base surface {base!r}")
-        if not partitions:
-            raise ParseError("a branch datum needs at least one partition")
-        for p in partitions:
-            if p.degree != degree:
-                raise ParseError(f"partition {p} does not sum to degree {degree}")
-            if p.is_trivial():
-                raise ParseError("trivial partition [1,...,1] is not a branch point")
-        return super().__new__(cls, base, degree, partitions)
-
-    @classmethod
-    def _make(cls, iterable) -> "BranchDatum":
-        return cls(*iterable)
-
-    def __reduce__(self):
-        return type(self), tuple(self)
-
-    @property
-    def nu(self) -> int:
-        nu = 0
-        for p in self.partitions:  # a census row reads nu often: no generator
-            nu += p.nu
-        return nu
-
-    def __str__(self) -> str:
-        return ";".join(str(p) for p in self.partitions)
+# -- admissibility ------------------------------------------------------------------
 
 
 def admissible(datum: BranchDatum) -> tuple[bool, str]:
@@ -181,17 +143,6 @@ def _require_constructible(datum: BranchDatum) -> None:
         ok, kind = False, "boundary defect nu = d-1 without a full-cycle branch point"
     if not ok:
         raise InadmissibleError(kind)
-
-
-def parse_datum(text: str, base: str) -> BranchDatum:
-    parts = [s for s in text.strip().split(";") if s.strip()]
-    if not parts:
-        raise ParseError("empty datum literal")
-    try:
-        partitions = tuple(Partition.parse(s) for s in parts)
-    except PermError as exc:
-        raise ParseError(str(exc)) from exc
-    return BranchDatum(base=base, degree=partitions[0].degree, partitions=partitions)
 
 
 # -- golden table ------------------------------------------------------------------

@@ -44,6 +44,7 @@ import random
 from collections import namedtuple
 from typing import Iterable, Sequence
 
+from .errors import EksError  # defined with the other errors, read here too
 from .perm import (
     Partition,
     Permutation,
@@ -56,10 +57,6 @@ from .perm import (
     random_in_class,
     sqrt_odd_cycle,
 )
-
-
-class EksError(ValueError):
-    """Precondition violation or exhausted internal search."""
 
 
 MergeTrace = namedtuple("MergeTrace", "kind")  # kind: 'threading' | 'split' | 'search'

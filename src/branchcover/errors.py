@@ -15,3 +15,7 @@ class VerificationError(BranchCoverError):
 
 class ParseError(BranchCoverError):
     """Malformed datum, cycle, or certificate text."""
+
+
+class EksError(ValueError):
+    """Precondition violation or exhausted internal search."""

@@ -38,13 +38,20 @@ building the product.
 The cycles and the cycle type of a permutation are built once, on first
 use, and kept on the object; a permutation is immutable, so they never go
 stale.
+
+Branch data live here too: a `Partition` per branch point, a `BranchDatum`
+of them and its text (`parse_datum`), so that the verifier reads a
+certificate without importing the builder.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
+
+from .errors import ParseError
 
 
 class PermError(ValueError):
@@ -424,6 +431,59 @@ class Partition:
         except ValueError as exc:
             raise PermError(f"malformed partition literal: {text!r}") from exc
         return Partition(parts)
+
+
+# -- branch data -------------------------------------------------------------------
+
+
+class BranchDatum(namedtuple("_BranchDatumFields", "base degree partitions")):
+    """Base surface tag, degree, and one partition per branch point.
+
+    Every way of making one runs the checks of ``__new__``: ``_make`` (and so
+    ``_replace``), copy and pickle all call the class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, base: str, degree: int, partitions: tuple[Partition, ...]):
+        if base not in ("rp2", "s2"):
+            raise ParseError(f"unknown base surface {base!r}")
+        if not partitions:
+            raise ParseError("a branch datum needs at least one partition")
+        for p in partitions:
+            if p.degree != degree:
+                raise ParseError(f"partition {p} does not sum to degree {degree}")
+            if p.is_trivial():
+                raise ParseError("trivial partition [1,...,1] is not a branch point")
+        return super().__new__(cls, base, degree, partitions)
+
+    @classmethod
+    def _make(cls, iterable) -> "BranchDatum":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+    @property
+    def nu(self) -> int:
+        nu = 0
+        for p in self.partitions:  # a census row reads nu often: no generator
+            nu += p.nu
+        return nu
+
+    def __str__(self) -> str:
+        return ";".join(str(p) for p in self.partitions)
+
+
+def parse_datum(text: str, base: str) -> BranchDatum:
+    parts = [s for s in text.strip().split(";") if s.strip()]
+    if not parts:
+        raise ParseError("empty datum literal")
+    try:
+        partitions = tuple(Partition.parse(s) for s in parts)
+    except PermError as exc:
+        raise ParseError(str(exc)) from exc
+    return BranchDatum(base=base, degree=partitions[0].degree, partitions=partitions)
 
 
 def sqrt_odd_cycle(p: Permutation) -> Permutation:

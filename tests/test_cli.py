@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from branchcover import cli, construct, groups, oracle, realize
+from branchcover import cli, construct, groups, oracle, realize, verify
 from branchcover.cli import main
 from branchcover.construct import BranchDatum
 from branchcover.perm import Partition, Permutation, compose, from_cycles
@@ -321,13 +321,13 @@ def test_verify_one_generator_left(tmp_path, capsys, monkeypatch, text, code, li
     the verifier keeps at least one, and prints the line it printed when it
     used every image."""
     spans = []
-    original = realize.is_primitive
+    original = verify.is_primitive
 
     def counting(gens):
         spans.append(len(gens))
         return original(gens)
 
-    monkeypatch.setattr(realize, "is_primitive", counting)
+    monkeypatch.setattr(verify, "is_primitive", counting)
     f = tmp_path / "cert.txt"
     f.write_text(text)
     assert run(capsys, "verify", "--certificate", str(f)) == (code, line + "\n", "")

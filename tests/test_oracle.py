@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from branchcover import construct, eks, groups, oracle, perm, realize
+from branchcover import verify as verifier
 from branchcover.construct import parse_datum
 from branchcover.errors import InadmissibleError
 from branchcover.groups import is_primitive, is_transitive
@@ -251,13 +252,13 @@ def test_census_settles_most_verdicts_from_a_shared_subgroup(monkeypatch):
     `census(7, 3)` call the verifier runs the exact test for none of the
     certificates, fewer than half of them, and a second call does the same."""
     calls = []
-    original = realize.is_primitive
+    original = verifier.is_primitive
 
     def counting(gens):
         calls.append(gens)
         return original(gens)
 
-    monkeypatch.setattr(realize, "is_primitive", counting)
+    monkeypatch.setattr(verifier, "is_primitive", counting)
     constructed = sum(row.classification == "constructed" for row in census(7, 3))
     per_call = len(calls)
     calls.clear()
@@ -299,9 +300,9 @@ def test_census_verifies_each_certificate_with_one_orbit_walk(monkeypatch):
 
     monkeypatch.setattr(realize, "verify_certificate", verify)
     monkeypatch.setattr(groups, "_block_closure", _counted(closures, groups._block_closure))
-    monkeypatch.setattr(realize, "is_primitive", _counted(tests, realize.is_primitive))
+    monkeypatch.setattr(verifier, "is_primitive", _counted(tests, verifier.is_primitive))
     monkeypatch.setattr(groups, "_reaches_all", inside(walks, groups._reaches_all))
-    for module in (perm, groups, eks, construct, realize):
+    for module in (perm, groups, eks, construct, realize, verifier):
         if getattr(module, "compose", None) is perm.compose:
             monkeypatch.setattr(module, "compose", inside(products, perm.compose))
     constructed = sum(row.classification == "constructed" for row in census(9, 3))
@@ -359,7 +360,7 @@ def test_verifier_composes_once_per_distinct_subgroup(monkeypatch):
         return product(*perms)
 
     monkeypatch.setattr(realize, "verify_certificate", verify)
-    for module in (perm, groups, eks, construct, realize):
+    for module in (perm, groups, eks, construct, realize, verifier):
         if getattr(module, "compose", None) is product:
             monkeypatch.setattr(module, "compose", composing)
 

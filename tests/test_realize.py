@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from branchcover import construct, groups, realize
+from branchcover import construct, groups, realize, verify
 from branchcover.construct import BranchDatum, parse_datum
 from branchcover.errors import InadmissibleError, ParseError
 from branchcover.oracle import census, partitions_of
@@ -174,9 +174,36 @@ def test_realize_sphere_gates():
     with pytest.raises(InadmissibleError):
         realize_sphere(parse_datum("[3,1,1]", "s2"))  # nu below 2d-2
     with pytest.raises(InadmissibleError):
-        realize_sphere(parse_datum("[3,2];[3,2];[3,2]", "s2"))  # wrong head
+        realize_sphere(parse_datum("[3,2];[3,2];[3,2]", "s2"))  # nu odd
+    with pytest.raises(InadmissibleError, match=r"needs a partition \[d-2,1,1\]"):
+        realize_sphere(parse_datum("[3,2];[3,2];[2,2,1]", "s2"))  # admissible
     with pytest.raises(InadmissibleError):
         realize_sphere(parse_datum("[3,1,1];[3,2];[3,2]", "rp2"))
+
+
+def test_realize_sphere_in_any_order():
+    """Every rotation of each admissible sphere multiset at d = 7 with at
+    most four branch points that contains [5,1,1] realizes and verifies in
+    the order given, and its u-images are those of the rotation led by the
+    first [5,1,1], rotated back."""
+    d, head = 7, P([5, 1, 1])
+    nontrivial = [p for p in partitions_of(d) if not p.is_trivial()]
+    multisets = [
+        c
+        for s in range(1, 5)
+        for c in combinations_with_replacement(nontrivial, s)
+        if head in c and sum(p.nu for p in c) % 2 == 0 and sum(p.nu for p in c) >= 2 * d - 2
+    ]
+    assert len(multisets) == 296
+    for parts in multisets:
+        for k in range(len(parts)):
+            order = parts[k:] + parts[:k]
+            cert = realize_sphere(BranchDatum("s2", d, order))
+            assert cert.datum.partitions == order
+            assert verify_certificate(cert).verdict == "valid-indecomposable", order
+            j, us = order.index(head), cert.u_images
+            led = realize_sphere(BranchDatum("s2", d, order[j:] + order[:j]))
+            assert us[j:] + us[:j] == led.u_images, order
 
 
 def test_verifier_tamper_detection():
@@ -400,7 +427,7 @@ def test_every_report_matches_the_exact_scan(monkeypatch):
     rng = random.Random(16)
     sequence = [c for d in (9, 15, 21, 25) for c in _verifier_sequence(rng, d)]
     tests = []
-    original = realize.is_primitive
+    original = verify.is_primitive
 
     def counting(gens):
         tests.append(gens)
@@ -411,11 +438,11 @@ def test_every_report_matches_the_exact_scan(monkeypatch):
             return False, False
         return True, original(gens)[0]
 
-    monkeypatch.setattr(realize, "is_primitive", counting)
+    monkeypatch.setattr(verify, "is_primitive", counting)
     scanned = set()
     for kind, cert in sequence:
         with monkeypatch.context() as m:
-            m.setattr(realize, "_group_verdict", exact)
+            m.setattr(verify, "_group_verdict", exact)
             reference = verify_certificate(cert)
         tests.clear()
         report = verify_certificate(cert)

@@ -1,6 +1,9 @@
 """Guards on the library source itself."""
 
 import ast
+import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import branchcover
@@ -111,3 +114,99 @@ def test_every_public_name_is_reached():
                 public.add(own)
     assert perfbench.is_dir() and public
     assert sorted(public - named) == sorted(UNREACHED_ON_PURPOSE)
+
+
+def test_every_exported_name_resolves_to_its_home_module():
+    """The lazy namespace hands out the object that its home module defines."""
+    assert branchcover.__all__
+    for name in branchcover.__all__:
+        home = importlib.import_module(f"branchcover.{branchcover._HOMES[name]}")
+        value = getattr(branchcover, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+
+VERIFIER_SIDE = ("verify.py", "perm.py", "groups.py", "errors.py")
+BUILDER_SIDE = {"construct", "eks", "oracle", "realize", "cli"}
+
+
+def _library_imports(node) -> set[str]:
+    """The branchcover submodules that an import statement names."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = ("branchcover." if node.level else "") + (node.module or "")
+        names = [base] if node.module else [f"branchcover.{a.name}" for a in node.names]
+    else:
+        return set()
+    return {name.split(".")[1] for name in names if name.startswith("branchcover.")}
+
+
+def test_the_verifier_side_imports_no_builder():
+    """`verify` and what it imports (`perm`, `groups`, `errors`) import
+    nothing from the builder, the oracles, certificate assembly or the CLI."""
+    package = Path(branchcover.__file__).parent
+    found = [
+        f"{name}:{node.lineno}: {module}"
+        for name in VERIFIER_SIDE
+        for node in ast.walk(ast.parse((package / name).read_text(), filename=name))
+        for module in sorted(_library_imports(node) & BUILDER_SIDE)
+    ]
+    assert found == []
+
+
+def _loaded(code: str, *args: str) -> list[str]:
+    """The branchcover modules a fresh interpreter holds after ``code``."""
+    src = str(Path(branchcover.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        f"{code}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'branchcover'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_the_package_import_loads_no_submodule():
+    assert _loaded("import branchcover") == ["branchcover"]
+    assert _loaded("import branchcover\nbranchcover.load_appendix_table()") == [
+        "branchcover",
+        "branchcover.construct",
+        "branchcover.eks",
+        "branchcover.errors",
+        "branchcover.groups",
+        "branchcover.perm",
+    ]
+
+
+def test_the_verifier_loads_no_builder():
+    assert _loaded("import branchcover.verify") == [
+        "branchcover",
+        "branchcover.errors",
+        "branchcover.groups",
+        "branchcover.perm",
+        "branchcover.verify",
+    ]
+
+
+def test_the_verify_command_loads_no_builder(tmp_path):
+    cert = tmp_path / "cert.txt"
+    cert.write_text(
+        "base: rp2\ndegree: 5\ndatum: [3,2];[3,2]\n"
+        "a: (1 3 5)\nu[1]: (1 2 3)(4 5)\nu[2]: (1 5 4)(2 3)\n"
+    )
+    loaded = _loaded(
+        "from branchcover import cli\n"
+        "assert cli.main(['verify', '--certificate', sys.argv[1]]) == 0",
+        str(cert),
+    )
+    assert "branchcover.verify" in loaded
+    builders = {f"branchcover.{m}" for m in ("construct", "eks", "oracle", "realize")}
+    assert builders.isdisjoint(loaded)
