@@ -265,6 +265,11 @@ def _case1(A: Partition, B: Partition, d: int, seed: int):
 
 
 def _case2(A: Partition, B: Partition, d: int, seed: int):
+    """Leading parts 3 and 3: the pair's golden-table row, else the general
+    route, which needs four parts >= 2 in A.  None, when neither applies,
+    reaches no gated pair: A then has at most three parts >= 2, so
+    nu(B) <= nu(A) <= 6, and the gate nu(A) + nu(B) > d - 1 forces d <= 11,
+    where every such pair has a row (the tests check each one to d = 23)."""
     row = _table_by_key().get((d, tuple(sorted((A.parts, B.parts)))))
     if row is not None:
         if A == row.D1 and B == row.D2:
@@ -313,7 +318,8 @@ def _case3(A: Partition, B: Partition, d: int, seed: int):
 
 
 def _pair_search_fallback(A: Partition, B: Partition, d: int, seed: int):
-    """Verified search safety net for shapes outside the written case split."""
+    """Verified search for a pair.  No library code calls it; it stays
+    defined only because the benchmark's layer tracer binds it by name."""
     lam = canonical_in_class(A, d)
     want = Partition([d - 2, 1, 1])
     rng = random.Random(seed)
@@ -346,6 +352,7 @@ def two_datum_construct(
         swapped = D1.nu < D2.nu
         A, B = (D2, D1) if swapped else (D1, D2)
         c1, b1 = A.parts[0], B.parts[0]
+        # every gated pair takes one branch: c1 = 2 caps the defect at d - 1
         got = None
         if c1 + b1 > 6 and b1 >= 3:
             got = _case1(A, B, d, seed)
@@ -354,7 +361,7 @@ def two_datum_construct(
         elif b1 == 2:
             got = _case3(A, B, d, seed)
         if got is None:
-            got = _pair_search_fallback(A, B, d, seed)
+            raise EksError("no route for the pair (defect): see `_case2`")
         lam, beta, trace = got
         lam_out, beta_out = (beta, lam) if swapped else (lam, beta)
 
@@ -570,12 +577,9 @@ def single_branch_verdict(d: int) -> str:
 
 
 def _full_cycle_partner_search(B: Permutation, seed: int) -> Permutation:
-    """A d-cycle g with B*g a d-cycle and <B, g> primitive (verified search;
-    the constructive proof lives outside this library).
-
-    No construction calls it: data containing [d] go through `_build`.  It
-    stays defined only because the benchmark's layer tracer binds it by name.
-    """
+    """Verified search for a d-cycle g with B*g a d-cycle and <B, g> primitive.
+    No library code calls it; it stays defined only because the benchmark's
+    layer tracer binds it by name."""
     d = B.degree
     full = Partition([d])
     rng = random.Random(seed)

@@ -73,12 +73,7 @@ class HurwitzCertificate(
     def __new__(cls, base, degree, datum, a_image, u_images):
         if base not in _CHI_BASE:
             raise ParseError(f"unknown base surface {base!r}")
-        if (a_image is not None) != (base == "rp2"):
-            raise ParseError("a-image present iff the base is the projective plane")
-        if len(u_images) != len(datum.partitions):
-            raise ParseError("one u-image per branch point required")
-        if datum.degree != degree:
-            raise ParseError("datum degree disagrees with the certificate degree")
+        _check_structure(base, degree, datum, a_image is not None, len(u_images))
         if datum.base != base:
             raise ParseError("datum base disagrees with the certificate base")
         images = u_images if a_image is None else (a_image, *u_images)
@@ -92,6 +87,18 @@ class HurwitzCertificate(
 
     def __reduce__(self):
         return type(self), tuple(self)
+
+
+def _check_structure(base, degree, datum, has_a: bool, s: int) -> None:
+    """The rules of a certificate's structure that need no image: an a-image
+    iff the base is rp2, one u-image per branch point, and the datum's
+    degree.  The text reader applies them before it builds any cycle."""
+    if has_a != (base == "rp2"):
+        raise ParseError("a-image present iff the base is the projective plane")
+    if s != len(datum.partitions):
+        raise ParseError("one u-image per branch point required")
+    if datum.degree != degree:
+        raise ParseError("datum degree disagrees with the certificate degree")
 
 
 VerificationReport = namedtuple(
@@ -221,17 +228,11 @@ def certificate_from_text(text: str) -> HurwitzCertificate:
         raise ParseError(f"certificate missing field {exc}") from exc
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if datum.degree != degree:
-        raise ParseError("datum degree disagrees with the degree line")
     u_lines.sort()
     if [i for i, _ in u_lines] != list(range(1, len(u_lines) + 1)):
         raise ParseError("u-lines must be numbered 1..s")
-    # the text alone decides these, so no cycle is built on a claimed
-    # domain first; HurwitzCertificate checks them again for every path
-    if ("a" in fields) != (base == "rp2"):
-        raise ParseError("a-image present iff the base is the projective plane")
-    if len(u_lines) != len(datum.partitions):
-        raise ParseError("one u-image per branch point required")
+    # the text alone decides these, so no cycle is built on a claimed domain
+    _check_structure(base, degree, datum, "a" in fields, len(u_lines))
     try:
         us = tuple(parse_cycles(txt, degree) for _, txt in u_lines)
         a = parse_cycles(fields["a"], degree) if "a" in fields else None

@@ -148,6 +148,32 @@ def test_two_datum_exhaustive_sweep_small():
             assert product == compose(lam, beta)
 
 
+def test_every_leading_three_three_pair_has_a_route():
+    """`_case2`'s argument, checked: every gated pair whose leading parts are
+    3 and 3, ordered as `two_datum_construct` orders it (the heavier side
+    first), has a golden-table row or meets the general route's hypothesis
+    (four parts >= 2 in A, a second part >= 2 in B), and pairs without the
+    latter stop at d = 11."""
+    rows = {(r.degree, tuple(sorted((r.D1.parts, r.D2.parts)))) for r in load_appendix_table()}
+    count, table_degrees = 0, set()
+    for d in range(5, 24, 2):
+        threes = [p for p in partitions_of(d) if p.parts[0] == 3]
+        for D1 in threes:
+            for D2 in threes:
+                nu = D1.nu + D2.nu
+                if nu % 2 != 0 or nu <= d - 1:
+                    continue
+                A, B = (D2, D1) if D1.nu < D2.nu else (D1, D2)
+                general = sum(1 for c in A.parts if c >= 2) >= 4 and B.parts[1] >= 2
+                if not general:
+                    assert (d, tuple(sorted((A.parts, B.parts)))) in rows, (D1, D2)
+                    table_degrees.add(d)
+                _, _, trace, _ = two_datum_construct(D1, D2)  # checked at its exit
+                assert trace.case in ("case2-table", "case2-general")
+                count += 1
+    assert count == 604 and max(table_degrees) == 11
+
+
 _UNWIND_STEP = construct._unwind_step
 
 
@@ -462,14 +488,10 @@ def test_full_cycle_datum_perturbation_branches():
         assert is_primitive([a, *us])[0]
 
 
-def test_every_datum_containing_the_full_cycle_is_built_without_search(monkeypatch):
+def test_every_datum_containing_the_full_cycle_is_built_without_search():
     """Every strict datum with a branch point [d] is realized by the
-    fundamental construction; the full-cycle partner search never runs."""
-
-    def no_search(*args):
-        raise AssertionError("full-cycle partner search reached")
-
-    monkeypatch.setattr(construct, "_full_cycle_partner_search", no_search)
+    fundamental construction, which calls no search
+    (`tests/test_source.py::test_no_construction_step_falls_back_on_a_search`)."""
     count = 0
     for d, max_s in ((5, 4), (7, 4), (9, 3)):
         full = P([d])

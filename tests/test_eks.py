@@ -4,7 +4,7 @@ import hashlib
 import math
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -185,10 +185,6 @@ def test_thread_matches_brute_force_schedule_search():
     assert outcomes[True] > 0 and outcomes[False] > 0
 
 
-def _no_search(*args):
-    raise AssertionError("random defect search reached")
-
-
 def _split_inside_one_cycle(lam, parts, reserved=(), anchor=None):
     """A placement that splits the first cycle of lam instead of merging."""
     return {tag: lam.cycles()[0][:size] for size, tag in parts}
@@ -224,8 +220,7 @@ def test_product_defect_exact_examples():
         product_defect_exact(Partition([3, 2]), Partition([3, 2]))  # sum too big
 
 
-def test_product_defect_exact_sweep(monkeypatch):
-    monkeypatch.setattr(eks, "_search_defect", _no_search)
+def test_product_defect_exact_sweep():
     for d in range(2, 10):
         for A in partitions_of(d):
             for B in partitions_of(d):
@@ -250,8 +245,7 @@ def test_product_defect_reduced_appendix_shape():
         product_defect_reduced(Partition([2, 1, 1]), Partition([2, 1, 1]))  # r <= 0
 
 
-def test_product_defect_reduced_sweep(monkeypatch):
-    monkeypatch.setattr(eks, "_search_defect", _no_search)
+def test_product_defect_reduced_sweep():
     for d in (5, 7, 9):
         for A in partitions_of(d):
             for B in partitions_of(d):
@@ -263,8 +257,8 @@ def test_product_defect_reduced_sweep(monkeypatch):
                 assert compose(a, b).nu() == (d - 1) - r % 2
 
 
-# every gated pair of degree <= 21 whose anchored split reserved the anchor,
-# a fixed point of lam, and so left the merge to the random search
+# every gated pair of degree <= 21 whose anchored split would reserve the
+# anchor, a fixed point of lam, if it did not thread one part fewer
 _ANCHOR_ON_A_FIXED_POINT = (
     "[5,2,2,2,2,1,1];[3,3,3,3,3]",
     "[5,2,2,2,2,2,1,1];[3,3,3,3,3,2]",
@@ -286,10 +280,9 @@ _ANCHOR_ON_A_FIXED_POINT = (
 )
 
 
-def test_anchored_split_needs_no_random_merge(monkeypatch):
+def test_anchored_split_needs_no_random_merge():
     """When f = 1 would reserve an anchor that lam fixes, `_merge_split`
     threads one part fewer so that the f-cycle takes the anchor."""
-    monkeypatch.setattr(eks, "_search_merge", _no_search)
     pairs = [
         tuple(Partition.parse(t) for t in text.split(";"))
         for text in _ANCHOR_ON_A_FIXED_POINT
@@ -303,8 +296,8 @@ def test_anchored_split_needs_no_random_merge(monkeypatch):
 
 
 def test_threading_builds_no_random_generator(monkeypatch):
-    """Only the split path's factorization and the search fallbacks draw from
-    the seed; a threading merge and an exact-defect product never seed one."""
+    """Only the split path's factorization draws from the seed; a threading
+    merge and an exact-defect product never seed one."""
 
     def no_rng(*args):
         raise AssertionError("random.Random built")
@@ -321,12 +314,74 @@ def test_threading_builds_no_random_generator(monkeypatch):
         merge_with_trace(parse_cycles("(1 2 3)(4 5)", 5), Partition([3, 2]))
 
 
+def _full_cycle_in_class(lam, target, anchor, classes):
+    """Whether some member of the target, with the anchor, gives a
+    full-cycle product with lam, by enumerating the class on 1..d.  The
+    members, each with the length of each point's cycle, are kept in
+    ``classes`` for the next call on the same target."""
+    if target not in classes:
+        classes[target] = [
+            (beta, {x: len(c) for c in beta.cycles() for x in c})
+            for beta in all_in_class(target, lam.degree)
+        ]
+    for beta, length in classes[target]:
+        if anchor is not None and length[anchor[1]] != anchor[0]:
+            continue
+        if len(compose(lam, beta).cycles()) == 1:
+            return True
+    return False
+
+
+def test_merge_split_is_complete_to_degree_eight():
+    """`_merge_split` returns None only where no member of the target with
+    the anchor gives a full cycle, which its docstring shows happens exactly
+    for an anchor (1, p) with p fixed by lam: on canonical and seeded random
+    lam of every class, every target, every anchor entry and point, and no
+    anchor."""
+    rng = random.Random(33)
+    outcomes = {True: 0, False: 0}
+    classes: dict = {}
+    for d in range(1, 9):
+        for L in partitions_of(d):
+            lams = (canonical_in_class(L, d), *(random_in_class(L, d, rng) for _ in range(2)))
+            for lam, target in product(lams, partitions_of(d)):
+                ns = L.nu + target.nu
+                if ns < d - 1 or (ns - (d + 1)) % 2 != 0:
+                    continue
+                entries = sorted(set(target.parts))
+                for anchor in (None, *((e, x) for e in entries for x in lam.domain)):
+                    got = eks._merge_split(lam, target, anchor, 0)
+                    fixed = anchor is not None and anchor[0] == 1 and lam(anchor[1]) == anchor[1]
+                    assert (got is None) == (fixed and d > 1), (lam, target, anchor)
+                    outcomes[got is None] += 1
+                    if got is None:
+                        assert not _full_cycle_in_class(lam, target, anchor, classes)
+                        continue
+                    beta = got[0]
+                    assert beta.cycle_type() == target
+                    assert len(compose(lam, beta).cycles()) == 1
+                    if anchor is not None:
+                        assert len(next(c for c in beta.cycles() if anchor[1] in c)) == anchor[0]
+    assert outcomes[True] > 800 and outcomes[False] > 15000
+
+
+def test_unsatisfiable_anchor_fails_fast():
+    """An anchor that no member can meet raises at once: the point 11 is
+    fixed by lam, so a target cycle of length 1 through it would fix it in
+    the product too.  A class-wide search took 10 to 30 s on such inputs."""
+    lam = canonical_in_class(Partition([6, 4, 1]), 11)
+    start = time.perf_counter()
+    with pytest.raises(EksError, match="no merge schedule"):
+        eks_merge(lam, Partition([9, 1, 1]), anchor=(1, 11))
+    assert time.perf_counter() - start < 0.5
+
+
 # sha256 of format_cycles(beta) for the split merge below, at d = 8001
 SPLIT_D8001_DIGEST = "a256e4dee3b0099f09e5a0c7659cc191eef1e5e3c05a36481abdf580639bdc02"
 
 
 def test_split_merge_is_quasi_linear_at_degree_8001():
-    """`_merge_split` tests the fixed points against F in one set built once.
+    """`_merge_split` picks the remainder's points from one set built once.
     With a set built per point this call took about 1 s on a 2-core x86-64
     VM; with one set it takes about 0.02 s."""
     d = 8001
